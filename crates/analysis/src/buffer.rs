@@ -8,7 +8,7 @@
 //! constraints is the subject of Stuijk et al., TC'08; here we provide the
 //! self-timed bound used for dimensioning.)
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use sdfr_graph::budget::Budget;
 use sdfr_graph::execution::{simulate, simulate_iterations, SimulationOptions};
@@ -30,51 +30,19 @@ const SEEDER_RING: usize = 8;
 /// archived symbolic execution ([`EngineArchive::fork`]) instead of running
 /// Algorithm 1 cold. Determinacy keeps every seeded probe byte-identical
 /// to a cold one — including budget accounting — so search results never
-/// depend on seeding or on the steal schedule of parallel probes.
-///
-/// The ring is **sharded per pool worker** (plus one fallback shard for
-/// off-pool threads, including the scope-driving one): parallel probes
-/// previously serialized on a single `Mutex`, turning the seeder into the
-/// sweep's contention hot spot, and cross-thread seeds were mostly stale
-/// anyway — a worker forks its *own* previous probe far more often than a
-/// sibling's. Because seeding only changes wall-clock time, never answers,
-/// sharding preserves byte-identical results on every thread count.
-#[derive(Debug)]
+/// depend on seeding.
+#[derive(Debug, Default)]
 struct FamilySeeder {
-    /// `threads - 1` worker shards plus the trailing fallback shard.
-    shards: Vec<Mutex<SeederRing>>,
-}
-
-/// One shard's ring of `(bounded graph, archived engine)` seeds.
-type SeederRing = Vec<(Arc<SdfGraph>, Arc<EngineArchive>)>;
-
-impl Default for FamilySeeder {
-    fn default() -> Self {
-        let workers = sdfr_pool::current().threads().saturating_sub(1);
-        FamilySeeder {
-            shards: (0..=workers).map(|_| Mutex::new(Vec::new())).collect(),
-        }
-    }
+    /// `(bounded graph, archived engine)` seeds, most recent last.
+    ring: Vec<(Arc<SdfGraph>, Arc<EngineArchive>)>,
 }
 
 impl FamilySeeder {
-    /// The calling thread's shard: its worker slot on pool workers (when
-    /// the index fits — a foreign pool's worker may carry a larger index),
-    /// the trailing fallback shard everywhere else.
-    fn shard(&self) -> &Mutex<SeederRing> {
-        let fallback = self.shards.len() - 1;
-        let i = sdfr_pool::worker_index()
-            .filter(|&i| i < fallback)
-            .unwrap_or(fallback);
-        &self.shards[i]
-    }
-
-    /// A seed for `bounded`: the most recent member of the calling
-    /// thread's shard that is the same graph (resume) or differs from it
-    /// in one channel's initial tokens (fork), if any.
+    /// A seed for `bounded`: the most recent ring member that is the same
+    /// graph (resume) or differs from it in one channel's initial tokens
+    /// (fork), if any.
     fn seed_for(&self, bounded: &SdfGraph) -> Option<IncrementalSeed> {
-        let ring = self.shard().lock().expect("seeder ring poisoned");
-        for (g, archive) in ring.iter().rev() {
+        for (g, archive) in self.ring.iter().rev() {
             if **g == *bounded {
                 return Some(IncrementalSeed {
                     base: Arc::clone(archive),
@@ -91,14 +59,13 @@ impl FamilySeeder {
         None
     }
 
-    /// Offers a probe's archive back to the calling thread's shard (most
-    /// recent last), displacing the oldest member beyond [`SEEDER_RING`].
-    fn offer(&self, graph: Arc<SdfGraph>, archive: Arc<EngineArchive>) {
-        let mut ring = self.shard().lock().expect("seeder ring poisoned");
-        ring.retain(|(g, _)| **g != *graph);
-        ring.push((graph, archive));
-        if ring.len() > SEEDER_RING {
-            ring.remove(0);
+    /// Offers a probe's archive back to the ring (most recent last),
+    /// displacing the oldest member beyond [`SEEDER_RING`].
+    fn offer(&mut self, graph: Arc<SdfGraph>, archive: Arc<EngineArchive>) {
+        self.ring.retain(|(g, _)| **g != *graph);
+        self.ring.push((graph, archive));
+        if self.ring.len() > SEEDER_RING {
+            self.ring.remove(0);
         }
     }
 }
@@ -293,7 +260,7 @@ fn period_with_capacities_seeded(
     g: &SdfGraph,
     capacities: &[u64],
     budget: &Budget,
-    seeder: &FamilySeeder,
+    seeder: &mut FamilySeeder,
 ) -> Result<Option<sdfr_maxplus::Rational>, SdfError> {
     let bounded = Arc::new(with_capacities(g, capacities)?);
     let session = AnalysisSession::with_budget(Arc::clone(&bounded), budget.clone());
@@ -443,7 +410,7 @@ fn probe_feasible(
     probe: &[u64],
     budget: &Budget,
     target: Option<sdfr_maxplus::Rational>,
-    seeder: &FamilySeeder,
+    seeder: &mut FamilySeeder,
 ) -> Result<bool, SdfError> {
     match period_with_capacities_seeded(g, probe, budget, seeder) {
         Ok(p) => Ok(p == target),
@@ -453,24 +420,17 @@ fn probe_feasible(
 }
 
 /// The shrink search behind [`minimize_capacities_with_budget`], against an
-/// already-known target period.
+/// already-known target period: a greedy left-to-right binary shrink of
+/// each channel within `[floor, current]`.
 ///
 /// Feasibility is monotone in every single capacity (extra slots only add
-/// tokens to the reverse channel, which can only shorten cycles), which the
-/// search exploits in two phases:
+/// tokens to the reverse channel, which can only shorten cycles), so each
+/// binary search finds the channel's minimal feasible capacity given the
+/// channels already shrunk to its left.
 ///
-/// 1. **Parallel scouting** (one task per channel on the shared
-///    [work-stealing pool](sdfr_pool::current)):
-///    each channel's minimal feasible capacity against the *un-shrunk*
-///    starting allocation is found by an independent binary search. Because
-///    neighbours only ever shrink afterwards, these minima are valid lower
-///    bounds for phase 2.
-/// 2. **Sequential confirmation**: the original greedy left-to-right shrink,
-///    searching `[max(floor, scout_i), start_i]` instead of
-///    `[floor, start_i]`. Binary search over any subrange containing the
-///    threshold of a monotone predicate returns the same threshold, so the
-///    result is exactly the sequential algorithm's — usually confirmed with
-///    a single probe per channel (the scout bound is already tight).
+/// The search is serial: its probes fork one another's archived
+/// executions through one [`FamilySeeder`], and fanning them out over a
+/// pool measured no faster at 2–8 threads.
 pub(crate) fn minimize_capacities_with_target(
     g: &SdfGraph,
     iterations: u64,
@@ -478,65 +438,19 @@ pub(crate) fn minimize_capacities_with_target(
     target: Option<sdfr_maxplus::Rational>,
 ) -> Result<Vec<u64>, SdfError> {
     let mut caps = sufficient_capacities_with_target(g, iterations, budget, target)?;
-    let channels: Vec<_> = g.channels().map(|(_, c)| *c).collect();
-    let start = caps.clone();
     // All probes of this search share one seeder: each probe varies a
     // single capacity, so its bounded graph forks a recent probe's archive.
-    let seeder = FamilySeeder::default();
-
-    // Phase 1: per-channel minima against the starting allocation, in
-    // parallel. Each worker probes under its own meter of the shared budget
-    // (per-probe firing caps, shared deadline/cancellation), exactly like
-    // the sequential probes. One task covers a chunk of channels — a scout
-    // is a whole binary search, roughly 8 probes worth of firings.
-    let scout_chunk = probe_chunk(start.len(), probe_cost(g).saturating_mul(8));
-    let scouted =
-        parallel_indexed_chunked(start.len(), scout_chunk, |i| -> Result<u64, SdfError> {
-            let ch = &channels[i];
-            if ch.is_self_loop() {
-                return Ok(start[i]);
-            }
-            let (mut lo, mut hi) = (channel_floor(ch), start[i]);
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                let mut probe = start.clone();
-                probe[i] = mid;
-                if probe_feasible(g, &probe, budget, target, &seeder)? {
-                    hi = mid;
-                } else {
-                    lo = mid + 1;
-                }
-            }
-            Ok(hi)
-        });
-    // Deterministic error propagation: the lowest-index failure wins.
-    let mut lower = Vec::with_capacity(scouted.len());
-    for s in scouted {
-        lower.push(s?);
-    }
-
-    // Phase 2: the sequential greedy shrink, tightened by the scout bounds.
-    for i in 0..caps.len() {
-        if channels[i].is_self_loop() {
+    let mut seeder = FamilySeeder::default();
+    for (i, (_, ch)) in g.channels().enumerate() {
+        if ch.is_self_loop() {
             continue;
         }
-        let (mut lo, mut hi) = (channel_floor(&channels[i]).max(lower[i]), caps[i]);
-        if lo < hi {
-            // The scout bound is usually exact: confirm it with one probe
-            // before falling back to the binary search.
-            let mut probe = caps.clone();
-            probe[i] = lo;
-            if probe_feasible(g, &probe, budget, target, &seeder)? {
-                hi = lo;
-            } else {
-                lo += 1;
-            }
-        }
+        let (mut lo, mut hi) = (channel_floor(ch), caps[i]);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             let mut probe = caps.clone();
             probe[i] = mid;
-            if probe_feasible(g, &probe, budget, target, &seeder)? {
+            if probe_feasible(g, &probe, budget, target, &mut seeder)? {
                 hi = mid;
             } else {
                 lo = mid + 1;
@@ -565,47 +479,6 @@ fn channel_floor(ch: &sdfr_graph::Channel) -> u64 {
         let g_pc = gcd(ch.production(), ch.consumption());
         (ch.production() + ch.consumption() - g_pc).max(ch.initial_tokens())
     }
-}
-
-/// Evaluates `f(0..n)` on the [current](sdfr_pool::current) work-stealing
-/// pool, one task per contiguous run of `chunk` probes, results flattened
-/// in ascending index order — the exact output of the serial loop, with
-/// task-dispatch overhead amortized over the chunk. The capacity probes of
-/// the design-space searches are independent, so fan-out changes
-/// wall-clock time but not results. On pool worker threads this schedules
-/// onto the *same* pool (nested fan-outs cooperate rather than
-/// oversubscribe), and a 1-thread pool degenerates to a sequential loop on
-/// the calling thread.
-fn parallel_indexed_chunked<R: Send>(
-    n: usize,
-    chunk: usize,
-    f: impl Fn(usize) -> R + Sync,
-) -> Vec<R> {
-    sdfr_pool::current().map_indexed_chunked(n, chunk, f)
-}
-
-/// How many estimated firings one fan-out task should amortize its
-/// dispatch overhead over.
-const PROBE_CHUNK_COST: u64 = 4096;
-
-/// Chunk size for fanning `n` capacity probes out, from the same cost
-/// model the [`Budget`] charges: a probe runs about one symbolic iteration
-/// of the bounded graph, `Σγ` firings. Cheap probes batch up until a task
-/// carries roughly [`PROBE_CHUNK_COST`] firings; expensive probes stay one
-/// per task (their own cost already amortizes dispatch). The pool's
-/// load-balancing bound caps the batch so every executor still gets a few
-/// tasks to steal.
-fn probe_chunk(n: usize, cost_per_probe: u64) -> usize {
-    let by_cost = usize::try_from(PROBE_CHUNK_COST / cost_per_probe.max(1)).unwrap_or(usize::MAX);
-    by_cost.clamp(1, sdfr_pool::current().chunk_size(n))
-}
-
-/// The per-probe cost estimate for capacity searches over `g`: the firings
-/// of one iteration, `Σγ` (the bounded variants share `g`'s repetition
-/// vector — reverse channels have swapped rates). Inconsistent graphs
-/// never reach a fan-out, so the fallback value is arbitrary.
-fn probe_cost(g: &SdfGraph) -> u64 {
-    sdfr_graph::repetition::repetition_vector(g).map_or(1, |v| v.iteration_length())
 }
 
 #[cfg(test)]
@@ -721,7 +594,7 @@ mod capacity_tests {
     #[test]
     fn family_seeder_resumes_and_forks_ring_members() {
         let g = pipeline();
-        let seeder = FamilySeeder::default();
+        let mut seeder = FamilySeeder::default();
         let base = Arc::new(with_capacities(&g, &[2, 1, 1]).unwrap());
         assert!(seeder.seed_for(&base).is_none(), "empty ring seeds nothing");
         let session = AnalysisSession::new(Arc::clone(&base));
@@ -738,14 +611,7 @@ mod capacity_tests {
             let _ = s.throughput().unwrap();
             seeder.offer(v, s.engine_archive().unwrap());
         }
-        // The test thread is off-pool, so every offer above landed in the
-        // fallback shard; the per-shard ring stays bounded.
-        assert_eq!(
-            seeder.shard().lock().unwrap().len(),
-            SEEDER_RING,
-            "ring stays bounded"
-        );
-        assert!(std::ptr::eq(seeder.shard(), seeder.shards.last().unwrap()));
+        assert_eq!(seeder.ring.len(), SEEDER_RING, "ring stays bounded");
     }
 
     #[test]
@@ -753,11 +619,11 @@ mod capacity_tests {
         // Warm probes across a capacity family must answer exactly like the
         // unseeded reference probe, whatever the ring contains.
         let g = pipeline();
-        let seeder = FamilySeeder::default();
+        let mut seeder = FamilySeeder::default();
         for cap in 1..=5 {
             let caps = [cap, 1, 1];
-            let warm =
-                period_with_capacities_seeded(&g, &caps, &Budget::unlimited(), &seeder).unwrap();
+            let warm = period_with_capacities_seeded(&g, &caps, &Budget::unlimited(), &mut seeder)
+                .unwrap();
             let cold = period_with_capacities(&g, &caps).unwrap();
             assert_eq!(warm, cold, "capacity {cap}");
         }
@@ -818,45 +684,25 @@ pub fn throughput_buffer_tradeoff(
     iterations: u64,
 ) -> Result<Vec<ParetoPoint>, SdfError> {
     let target = crate::throughput::throughput(g)?.period();
-    throughput_buffer_tradeoff_with_target(g, iterations, target, true)
-}
-
-/// The sequential reference implementation of
-/// [`throughput_buffer_tradeoff`].
-///
-/// The parallel sweep evaluates all candidate increments of a step
-/// concurrently and then folds them in channel order with the same
-/// tie-breaking, so both paths return byte-identical curves; this entry
-/// point exists to cross-check that claim in tests and to measure the
-/// fan-out speedup in benches.
-///
-/// # Errors
-///
-/// See [`throughput_buffer_tradeoff`].
-pub fn throughput_buffer_tradeoff_serial(
-    g: &SdfGraph,
-    iterations: u64,
-) -> Result<Vec<ParetoPoint>, SdfError> {
-    let target = crate::throughput::throughput(g)?.period();
-    throughput_buffer_tradeoff_with_target(g, iterations, target, false)
+    throughput_buffer_tradeoff_with_target(g, iterations, target)
 }
 
 /// Deadlocked allocations count as zero throughput.
-fn period_at(g: &SdfGraph, caps: &[u64], seeder: &FamilySeeder) -> Option<sdfr_maxplus::Rational> {
+fn period_at(
+    g: &SdfGraph,
+    caps: &[u64],
+    seeder: &mut FamilySeeder,
+) -> Option<sdfr_maxplus::Rational> {
     period_with_capacities_seeded(g, caps, &Budget::unlimited(), seeder).unwrap_or_default()
 }
 
 /// The greedy sweep behind [`throughput_buffer_tradeoff`], against an
-/// already-known target period. Each step's candidate probes (+1 on every
-/// growable channel) are independent full analyses of a capacity-variant
-/// graph; `parallel` fans them out over the shared work-stealing pool, and
-/// the subsequent fold picks the winner in ascending channel order with a
-/// strict comparison — the same candidate the sequential loop picks.
+/// already-known target period. Each step probes +1 on every growable
+/// channel in ascending channel order and keeps the first strict best.
 pub(crate) fn throughput_buffer_tradeoff_with_target(
     g: &SdfGraph,
     iterations: u64,
     target: Option<sdfr_maxplus::Rational>,
-    parallel: bool,
 ) -> Result<Vec<ParetoPoint>, SdfError> {
     let peaks = sufficient_capacities_with_target(g, iterations, &Budget::unlimited(), target)?;
 
@@ -864,8 +710,7 @@ pub(crate) fn throughput_buffer_tradeoff_with_target(
     let floors: Vec<u64> = channels.iter().map(channel_floor).collect();
     // Every step's +1 candidates are one-channel variants of the current
     // allocation: they fork the current point's archived execution.
-    let seeder = FamilySeeder::default();
-    let cost = probe_cost(g);
+    let mut seeder = FamilySeeder::default();
 
     // Order periods with deadlock (None) as the worst.
     let better = |a: Option<sdfr_maxplus::Rational>, b: Option<sdfr_maxplus::Rational>| -> bool {
@@ -880,7 +725,7 @@ pub(crate) fn throughput_buffer_tradeoff_with_target(
     let mut curve = vec![ParetoPoint {
         capacities: caps.clone(),
         total: caps.iter().sum(),
-        period: period_at(g, &caps, &seeder),
+        period: period_at(g, &caps, &mut seeder),
     }];
 
     let budget: u64 = peaks
@@ -898,20 +743,12 @@ pub(crate) fn throughput_buffer_tradeoff_with_target(
         let candidates: Vec<usize> = (0..caps.len())
             .filter(|&i| !channels[i].is_self_loop() && caps[i] < peaks[i])
             .collect();
-        let probe_period = |i: usize| -> Option<sdfr_maxplus::Rational> {
+        let mut best: Option<(usize, Option<sdfr_maxplus::Rational>)> = None;
+        for &i in &candidates {
             let mut probe = caps.clone();
             probe[i] += 1;
-            period_at(g, &probe, &seeder)
-        };
-        let periods: Vec<Option<sdfr_maxplus::Rational>> = if parallel {
-            let chunk = probe_chunk(candidates.len(), cost);
-            parallel_indexed_chunked(candidates.len(), chunk, |k| probe_period(candidates[k]))
-        } else {
-            candidates.iter().map(|&i| probe_period(i)).collect()
-        };
-        let mut best: Option<(usize, Option<sdfr_maxplus::Rational>)> = None;
-        for (&i, &p) in candidates.iter().zip(&periods) {
-            if better(p, best.as_ref().map_or(current, |(_, bp)| *bp)) {
+            let p = period_at(g, &probe, &mut seeder);
+            if better(p, best.map_or(current, |(_, bp)| bp)) {
                 best = Some((i, p));
             }
         }
@@ -989,7 +826,9 @@ mod pareto_tests {
     }
 
     #[test]
-    fn parallel_sweep_is_byte_identical_to_serial() {
+    fn capacity_searches_spawn_no_pool_tasks() {
+        // Both searches run serially on the calling thread: an installed
+        // pool sees no task at all.
         let mut b = SdfGraph::builder("g");
         let x = b.actor("x", 1);
         let y = b.actor("y", 3);
@@ -1001,9 +840,12 @@ mod pareto_tests {
             b.channel(a, a, 1, 1, 1).unwrap();
         }
         let g = b.build().unwrap();
-        let parallel = throughput_buffer_tradeoff(&g, 16).unwrap();
-        let serial = throughput_buffer_tradeoff_serial(&g, 16).unwrap();
-        assert_eq!(parallel, serial);
+        let pool = sdfr_pool::Pool::new(2);
+        pool.install(|| {
+            minimize_capacities(&g, 16).unwrap();
+            throughput_buffer_tradeoff(&g, 16).unwrap();
+        });
+        assert_eq!(pool.stats().spawned, 0);
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //! block until the single in-flight computation finishes. Concurrent
 //! computations of *different* artifacts may each resume metering from the
 //! same running total (the update is applied after the phase completes), so
-//! parallel phases are charged like parallel probes of the free-function
-//! searches: per worker, against the shared deadline and cancellation flag.
+//! parallel phases are charged per worker, against the shared deadline and
+//! cancellation flag.
 //!
 //! # Invalidation
 //!
@@ -634,7 +634,7 @@ impl AnalysisSession {
     /// Locally-minimal throughput-preserving capacities (see
     /// [`crate::buffer::minimize_capacities_with_budget`]), reusing the
     /// session's cached unconstrained period as the target. The shrink
-    /// search fans out over scoped threads.
+    /// search runs serially on the calling thread.
     ///
     /// Not memoized: the result depends on `iterations`.
     ///
@@ -648,8 +648,8 @@ impl AnalysisSession {
 
     /// The throughput/buffer trade-off curve (see
     /// [`crate::buffer::throughput_buffer_tradeoff`]), reusing the session's
-    /// cached unconstrained period as the target. Candidate probes of each
-    /// step fan out over scoped threads.
+    /// cached unconstrained period as the target. The sweep runs serially
+    /// on the calling thread.
     ///
     /// Not memoized: the result depends on `iterations`.
     ///
@@ -661,7 +661,7 @@ impl AnalysisSession {
         iterations: u64,
     ) -> Result<Vec<ParetoPoint>, SdfError> {
         let target = self.eigenvalue()?;
-        throughput_buffer_tradeoff_with_target(&self.graph, iterations, target, true)
+        throughput_buffer_tradeoff_with_target(&self.graph, iterations, target)
     }
 }
 

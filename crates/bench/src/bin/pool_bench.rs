@@ -1,19 +1,14 @@
-//! Measures how the work-stealing pool scales the workspace's parallel
-//! fan-outs at 1/2/4/8 worker threads:
+//! Measures how the work-stealing pool scales `sdfr batch`-style unit
+//! fan-out at 1/2/4/8 worker threads:
 //!
-//! - **pareto**: the throughput/buffer trade-off sweep over the Table-1
-//!   cases whose repetition-vector sum keeps a capacity probe cheap — the
-//!   probe fan-out in `sdfr_analysis::buffer` routed through a pool of
-//!   each width via [`sdfr_pool::Pool::install`];
-//! - **batch-pareto**: a nested workload — one outer task per (case,
-//!   duplicate) unit on the same pool, each warming a shared
-//!   [`sdfr_analysis::SessionRegistry`] session and then running its own
-//!   Pareto sweep, so inner probe tasks interleave with outer units
-//!   exactly as `sdfr batch` drives them.
+//! - **batch-pareto**: one task per (case, duplicate) unit on the pool,
+//!   each warming a shared [`sdfr_analysis::SessionRegistry`] session and
+//!   then running its own (serial) Pareto sweep over the Table-1 cases
+//!   whose repetition-vector sum keeps a capacity probe cheap.
 //!
-//! Every width's curves are asserted byte-identical to the serial
-//! reference (`throughput_buffer_tradeoff_serial`) before its time is
-//! reported — the scaling numbers are meaningless if the answers drift.
+//! Every width's curves are asserted byte-identical to the curve computed
+//! up front on the calling thread before its time is reported — the
+//! scaling numbers are meaningless if the answers drift.
 //!
 //! Usage: `cargo run --release -p sdfr-bench --bin pool_bench`
 //!
@@ -26,11 +21,9 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sdfr_analysis::buffer::{
-    throughput_buffer_tradeoff, throughput_buffer_tradeoff_serial, ParetoPoint,
-};
+use sdfr_analysis::buffer::{throughput_buffer_tradeoff, ParetoPoint};
 use sdfr_analysis::SessionRegistry;
-use sdfr_bench::report::{threshold_from_env, BenchCase, BenchReport, SkippedCase};
+use sdfr_bench::report::{host_cores, threshold_from_env, BenchCase, BenchReport, SkippedCase};
 use sdfr_graph::repetition::repetition_vector;
 use sdfr_graph::SdfGraph;
 use sdfr_pool::Pool;
@@ -40,7 +33,7 @@ use sdfr_pool::Pool;
 const PARETO_GAMMA_LIMIT: u64 = 700;
 /// Simulation horizon for capacity probes.
 const PARETO_ITERATIONS: u64 = 4;
-/// Duplicates per case in the nested batch workload.
+/// Duplicates per case in the batch workload.
 const DUPLICATES: usize = 4;
 /// Timing repetitions; the minimum is reported.
 const REPS: u32 = 3;
@@ -51,7 +44,7 @@ fn min_of(reps: u32, mut f: impl FnMut() -> Duration) -> Duration {
     (1..reps).fold(f(), |best, _| best.min(f()))
 }
 
-/// One sweepable case: name, graph, and its serial reference curve (the
+/// One sweepable case: name, graph, and its reference curve (the
 /// correctness oracle for every pooled run).
 type SweepCase = (&'static str, Arc<SdfGraph>, Vec<ParetoPoint>);
 
@@ -77,32 +70,16 @@ fn sweep_cases() -> (Vec<SweepCase>, Vec<SkippedCase>) {
             ));
             continue;
         }
-        let serial = throughput_buffer_tradeoff_serial(&case.graph, PARETO_ITERATIONS)
+        let curve = throughput_buffer_tradeoff(&case.graph, PARETO_ITERATIONS)
             .expect("benchmark cases admit a sweep");
-        cases.push((case.name, Arc::new(case.graph.clone()), serial));
+        cases.push((case.name, Arc::new(case.graph.clone()), curve));
     }
     (cases, skipped)
 }
 
-/// One full suite of Pareto sweeps on a pool of the given width.
-fn pareto_suite(pool: &Pool, cases: &[SweepCase]) -> Duration {
-    let t0 = Instant::now();
-    for (name, graph, serial) in cases {
-        let curve = pool
-            .install(|| throughput_buffer_tradeoff(graph, PARETO_ITERATIONS))
-            .expect("benchmark cases admit a sweep");
-        assert_eq!(
-            &curve, serial,
-            "{name}: pooled sweep must be byte-identical to serial"
-        );
-    }
-    t0.elapsed()
-}
-
-/// The nested workload: `DUPLICATES` outer units per case fan out as pool
-/// tasks, each warming a shared registry session and running its own
-/// Pareto sweep on the *same* pool (inner probes interleave with outer
-/// units via work-stealing, as under `sdfr batch`).
+/// The unit workload: `DUPLICATES` units per case fan out as pool tasks,
+/// each warming a shared registry session and running its own Pareto
+/// sweep, as under `sdfr batch`.
 fn batch_pareto_suite(pool: &Pool, cases: &[SweepCase]) -> Duration {
     let registry = SessionRegistry::new();
     let units: Vec<&SweepCase> = cases
@@ -111,7 +88,7 @@ fn batch_pareto_suite(pool: &Pool, cases: &[SweepCase]) -> Duration {
         .collect();
     let t0 = Instant::now();
     pool.scope(|s| {
-        for &(name, graph, serial) in &units {
+        for &(name, graph, reference) in &units {
             let registry = &registry;
             s.spawn(move |_| {
                 let session = registry.session(graph);
@@ -119,8 +96,8 @@ fn batch_pareto_suite(pool: &Pool, cases: &[SweepCase]) -> Duration {
                 let curve =
                     throughput_buffer_tradeoff(graph, PARETO_ITERATIONS).expect("cases sweep");
                 assert_eq!(
-                    &curve, serial,
-                    "{name}: nested pooled sweep must be byte-identical to serial"
+                    &curve, reference,
+                    "{name}: pooled sweep must be byte-identical to the reference"
                 );
             });
         }
@@ -137,10 +114,7 @@ fn batch_pareto_suite(pool: &Pool, cases: &[SweepCase]) -> Duration {
 
 fn main() {
     let (cases, skipped) = sweep_cases();
-    let workloads: [Workload; 2] = [
-        ("pareto", pareto_suite),
-        ("batch-pareto", batch_pareto_suite),
-    ];
+    let workloads: [Workload; 1] = [("batch-pareto", batch_pareto_suite)];
 
     let mut report = BenchReport {
         benchmark: "pool",
@@ -190,7 +164,7 @@ fn main() {
     // a consumer of BENCH_pool.json can tell "gate passed" apart from
     // "gate never ran" without the run's stdout.
     let min_speedup = threshold_from_env("SDFR_POOL_MIN_SPEEDUP", 2.0);
-    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_threads = host_cores();
     let gate_skip = (host_threads < 4).then(|| {
         format!(
             "host has {host_threads} core(s), a 4-thread speedup of \

@@ -5,9 +5,8 @@
 //!   for the full `sdfr analyze` artifact set (throughput, bottleneck,
 //!   makespan, SCCs); a warm run repeats the queries on the same session
 //!   and must be served entirely from the cache;
-//! - **serial vs. parallel Pareto**: the throughput/buffer trade-off sweep
-//!   with candidate probes evaluated sequentially vs. fanned out over
-//!   scoped threads (byte-identical curves, checked here on every case).
+//! - **Pareto**: the wall time of one throughput/buffer trade-off sweep,
+//!   reported alongside as `pareto_ns`.
 //!
 //! Usage: `cargo run --release -p sdfr-bench --bin session_bench`
 //!
@@ -23,7 +22,7 @@
 
 use std::time::{Duration, Instant};
 
-use sdfr_analysis::buffer::{throughput_buffer_tradeoff, throughput_buffer_tradeoff_serial};
+use sdfr_analysis::buffer::throughput_buffer_tradeoff;
 use sdfr_analysis::AnalysisSession;
 use sdfr_bench::report::{threshold_from_env, BenchCase, BenchReport};
 use sdfr_graph::repetition::repetition_vector;
@@ -42,8 +41,7 @@ struct Row {
     cold: Duration,
     warm: Duration,
     speedup: f64,
-    pareto_serial: Option<Duration>,
-    pareto_parallel: Option<Duration>,
+    pareto: Option<Duration>,
 }
 
 /// One full `analyze`-equivalent artifact set on a fresh session.
@@ -69,16 +67,8 @@ fn analyze_warm(s: &AnalysisSession) -> Duration {
     t0.elapsed()
 }
 
-fn min_of<T>(reps: u32, mut f: impl FnMut() -> (Duration, T)) -> (Duration, T) {
-    let (mut best, mut value) = f();
-    for _ in 1..reps {
-        let (d, v) = f();
-        if d < best {
-            best = d;
-            value = v;
-        }
-    }
-    (best, value)
+fn min_of(reps: u32, mut f: impl FnMut() -> Duration) -> Duration {
+    (1..reps).fold(f(), |best, _| best.min(f()))
 }
 
 fn json_duration(d: Option<Duration>) -> String {
@@ -89,73 +79,54 @@ fn main() {
     let mut rows = Vec::new();
     for case in sdfr_benchmarks::table1::all() {
         let g = &case.graph;
-        let (cold, ()) = min_of(REPS, || (analyze_cold(g), ()));
+        let cold = min_of(REPS, || analyze_cold(g));
         let warm_session = AnalysisSession::new(g.clone());
         let _ = warm_session.throughput().expect("analysable");
         let _ = warm_session.bottleneck().expect("analysable");
         let _ = warm_session.precedence_sccs().expect("analysable");
         let _ = warm_session.iteration_makespan().expect("analysable");
-        let (warm, ()) = min_of(REPS, || (analyze_warm(&warm_session), ()));
+        let warm = min_of(REPS, || analyze_warm(&warm_session));
 
         let gamma_sum = repetition_vector(g)
             .expect("benchmark cases are consistent")
             .iteration_length();
-        let (pareto_serial, pareto_parallel) = if gamma_sum <= PARETO_GAMMA_LIMIT {
-            let (serial, serial_curve) = min_of(1, || {
-                let t0 = Instant::now();
-                let c = throughput_buffer_tradeoff_serial(g, PARETO_ITERATIONS)
-                    .expect("benchmark cases admit a sweep");
-                (t0.elapsed(), c)
-            });
-            let (parallel, parallel_curve) = min_of(1, || {
-                let t0 = Instant::now();
-                let c = throughput_buffer_tradeoff(g, PARETO_ITERATIONS)
-                    .expect("benchmark cases admit a sweep");
-                (t0.elapsed(), c)
-            });
-            assert_eq!(
-                serial_curve, parallel_curve,
-                "{}: parallel sweep must be byte-identical to serial",
-                case.name
-            );
-            (Some(serial), Some(parallel))
-        } else {
-            (None, None)
-        };
+        let pareto = (gamma_sum <= PARETO_GAMMA_LIMIT).then(|| {
+            let t0 = Instant::now();
+            throughput_buffer_tradeoff(g, PARETO_ITERATIONS)
+                .expect("benchmark cases admit a sweep");
+            t0.elapsed()
+        });
 
         rows.push(Row {
             name: case.name.to_string(),
             cold,
             warm,
             speedup: cold.as_secs_f64() / warm.as_secs_f64().max(1e-9),
-            pareto_serial,
-            pareto_parallel,
+            pareto,
         });
     }
 
     // Human-readable report.
     println!("AnalysisSession benchmark (times in µs, min of {REPS} reps)\n");
     println!(
-        "{:<18} {:>10} {:>10} {:>9} {:>13} {:>15}",
-        "case", "cold", "warm", "speedup", "pareto serial", "pareto parallel"
+        "{:<18} {:>10} {:>10} {:>9} {:>13}",
+        "case", "cold", "warm", "speedup", "pareto"
     );
     for r in &rows {
         println!(
-            "{:<18} {:>10.1} {:>10.1} {:>8.0}x {:>13} {:>15}",
+            "{:<18} {:>10.1} {:>10.1} {:>8.0}x {:>13}",
             r.name,
             r.cold.as_secs_f64() * 1e6,
             r.warm.as_secs_f64() * 1e6,
             r.speedup,
-            r.pareto_serial
-                .map_or("-".to_string(), |d| format!("{:.0}", d.as_secs_f64() * 1e6)),
-            r.pareto_parallel
+            r.pareto
                 .map_or("-".to_string(), |d| format!("{:.0}", d.as_secs_f64() * 1e6)),
         );
     }
 
     // Machine-readable record in the shared schema: cold = fresh session,
-    // warm = cached re-query; the Pareto reference timings ride along as
-    // extra keys (nullable for skipped cases).
+    // warm = cached re-query; the Pareto timing rides along as an extra
+    // key (nullable for skipped cases).
     let report = BenchReport {
         benchmark: "session",
         suite: "table1",
@@ -166,16 +137,7 @@ fn main() {
                 threads: 1,
                 cold: r.cold,
                 warm: r.warm,
-                extra: vec![
-                    (
-                        "pareto_serial_ns".to_string(),
-                        json_duration(r.pareto_serial),
-                    ),
-                    (
-                        "pareto_parallel_ns".to_string(),
-                        json_duration(r.pareto_parallel),
-                    ),
-                ],
+                extra: vec![("pareto_ns".to_string(), json_duration(r.pareto))],
             })
             .collect(),
         skipped: Vec::new(),

@@ -9,6 +9,7 @@
 //!   "benchmark": "pool",
 //!   "suite": "table1",
 //!   "unit": "ns",
+//!   "host_cores": 2,
 //!   "cases": [
 //!     {"name": "wireless@4t", "threads": 4, "cold_ns": 812345,
 //!      "warm_ns": 231234, "speedup": 3.5}
@@ -22,7 +23,9 @@
 //! worker count the *warm* configuration ran with — 1 for benchmarks whose
 //! axis is caching rather than parallelism. Benchmark-specific extras
 //! (skipped sweeps, duplicate counts) ride along as additional keys
-//! without breaking `schema`-aware consumers.
+//! without breaking `schema`-aware consumers. `host_cores` is the
+//! measuring host's available parallelism, so a speedup can be read
+//! against the cores that produced it.
 
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -93,8 +96,11 @@ impl BenchReport {
     pub fn to_json(&self) -> String {
         let mut json = format!(
             "{{\n  \"schema\": \"{SCHEMA}\",\n  \"benchmark\": \"{}\",\n  \
-             \"suite\": \"{}\",\n  \"unit\": \"ns\",\n  \"cases\": [\n",
-            self.benchmark, self.suite
+             \"suite\": \"{}\",\n  \"unit\": \"ns\",\n  \"host_cores\": {},\n  \
+             \"cases\": [\n",
+            self.benchmark,
+            self.suite,
+            host_cores()
         );
         for (i, c) in self.cases.iter().enumerate() {
             let _ = write!(
@@ -187,6 +193,11 @@ impl BenchReport {
     }
 }
 
+/// The host's available parallelism (1 when it cannot be determined).
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Reads a gating threshold from the environment, falling back to
 /// `default` when unset or empty. Malformed values abort the benchmark
 /// (exit 2) rather than silently gating at the wrong bar.
@@ -232,6 +243,7 @@ mod tests {
         assert!(json.contains("\"benchmark\": \"pool\""));
         assert!(json.contains("\"suite\": \"table1\""));
         assert!(json.contains("\"unit\": \"ns\""));
+        assert!(json.contains(&format!("\"host_cores\": {},", host_cores())));
         assert!(json.contains(
             "{\"name\": \"pareto@4t\", \"threads\": 4, \"cold_ns\": 4000, \
              \"warm_ns\": 1000, \"speedup\": 4.00, \"skipped\": 2}"

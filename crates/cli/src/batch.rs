@@ -18,10 +18,8 @@
 //!
 //! By default, units fan out as one task each over a dedicated
 //! [work-stealing pool](sdfr_pool::Pool) and lines are emitted in
-//! *completion* order. The pool is shared with the per-unit analyses (each
-//! task body sees it via [`sdfr_pool::current`]), so any nested fan-out —
-//! capacity probes, Pareto sweeps — cooperates with the batch workers
-//! instead of oversubscribing the machine. `--stable` switches to
+//! *completion* order. Each unit's analysis runs serially inside its task:
+//! parallelism is across units, never inside one. `--stable` switches to
 //! sequential in-index-order processing, which makes the full output —
 //! including per-unit cache attribution (which duplicate is the miss and
 //! which are hits) — deterministic. Use it for scripting and golden tests;
@@ -286,13 +284,11 @@ pub fn run_batch(opts: &BatchOptions, emit: &(dyn Fn(&str) + Sync)) -> BatchRepo
             sdfr_pool::default_threads()
         }
         .clamp(1, units.len().max(1));
-        // A dedicated pool honors the requested width exactly. Each unit is
-        // one task; the task wrapper installs the pool as the thread's
-        // current one, so nested per-unit fan-outs (capacity probes, Pareto
-        // sweeps) are stolen by idle batch workers instead of spawning a
-        // second layer of threads. With one thread the scope caller drains
-        // the queue in submission order, making the streamed lines — and
-        // the hit/miss attribution — identical to `--stable`.
+        // A dedicated pool honors the requested width exactly. Units are
+        // the only level of parallelism: a unit's analysis runs serially on
+        // the worker that picked it up. With one thread the scope caller
+        // drains the queue in submission order, making the streamed lines —
+        // and the hit/miss attribution — identical to `--stable`.
         let pool = sdfr_pool::Pool::new(threads);
         // Units are chunked by the tier/budget cost estimate: ladders of
         // cheap low-cap tiers batch into one task (which also walks a

@@ -911,15 +911,13 @@ fn handle_analysis(
             // detection as `sdfr batch`, so a flat mixed batch posted
             // here produces the exact in-process byte sequence.
             if g.name.ends_with(".sadf") {
-                let unit = state.pool.install(|| {
-                    batch::analyze_sadf_source(
-                        batch_fields,
-                        &g.name,
-                        Ok(g.content.clone()),
-                        &state.registry,
-                        &base,
-                    )
-                });
+                let unit = batch::analyze_sadf_source(
+                    batch_fields,
+                    &g.name,
+                    Ok(g.content.clone()),
+                    &state.registry,
+                    &base,
+                );
                 persist_scenario_sessions(state, &base, &unit);
                 analyzed.push(unit);
                 index += 1;
@@ -939,18 +937,14 @@ fn handle_analysis(
                     try_handoff(state, shard, fp);
                 }
             }
-            // install() makes any nested analysis fan-out cooperate with
-            // the server's pool instead of spawning per-request threads.
-            let unit = state.pool.install(|| {
-                batch::analyze_source(
-                    batch_fields,
-                    &g.name,
-                    graph,
-                    &state.registry,
-                    &base,
-                    remaining,
-                )
-            });
+            let unit = batch::analyze_source(
+                batch_fields,
+                &g.name,
+                graph,
+                &state.registry,
+                &base,
+                remaining,
+            );
             persist_unit(state, &g.name, &g.content, &base, tier, &unit);
             analyzed.push(unit);
             index += 1;
@@ -1257,9 +1251,13 @@ fn handle_sadf(body: &str, failover: bool, state: &ServerState) -> (u16, String)
     let mut out = String::new();
     let mut exit = 0;
     for g in &req.graphs {
-        let unit = state.pool.install(|| {
-            batch::analyze_sadf_source(None, &g.name, Ok(g.content.clone()), &state.registry, &base)
-        });
+        let unit = batch::analyze_sadf_source(
+            None,
+            &g.name,
+            Ok(g.content.clone()),
+            &state.registry,
+            &base,
+        );
         persist_scenario_sessions(state, &base, &unit);
         exit = exit.max(unit.record.exit);
         out.push_str(&unit.record.to_json_line());

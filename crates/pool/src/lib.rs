@@ -1,14 +1,20 @@
-//! A dependency-free work-stealing thread pool for the workspace's parallel
-//! fan-outs (capacity probing, the Pareto sweep, `sdfr batch` units,
-//! registry prefetching).
+//! A dependency-free work-stealing thread pool for the workspace's
+//! unit-level fan-outs: `sdfr batch` units and registry prefetching
+//! (`sdfr serve --preload`).
+//!
+//! Parallelism stops at the unit: one analysis — including a capacity
+//! search, whose probes fork one another's archived executions — runs on
+//! one thread. Fanning a single Pareto sweep's probes out over the pool
+//! measured 0.90–0.96× at 2–8 threads, while one task per batch unit
+//! scales.
 //!
 //! # Why not `std::thread::scope` per call?
 //!
-//! The design-space searches fan out *nested*: a batch unit runs a Pareto
-//! sweep whose every step probes capacities in parallel. Spawning fresh OS
-//! threads at each level oversubscribes the machine (threads multiply
-//! across levels) or serializes (when an inner fan-out decides one worker
-//! is warranted because the outer level already owns the cores). A shared
+//! Fan-outs can nest: a task may open a fan-out of its own (say, a
+//! registry prefetch issued from a pool task). Spawning fresh OS threads
+//! at each level oversubscribes the machine (threads multiply across
+//! levels) or serializes (when an inner fan-out decides one worker is
+//! warranted because the outer level already owns the cores). A shared
 //! pool makes the levels *cooperate*: inner fan-outs schedule tasks onto
 //! the same workers, and a thread waiting for a scope to finish executes
 //! queued tasks instead of blocking.
@@ -422,8 +428,8 @@ impl Pool {
     /// A coarse chunk size for fanning `n` items out on this pool: a few
     /// chunks per executor balances load under work stealing without
     /// paying per-item task overhead (boxing, queue locking, slot
-    /// round-trips). Callers with a per-item cost model (e.g. the buffer
-    /// sweep's `Budget` estimates) may pass their own size to
+    /// round-trips). Callers with a per-item cost model (e.g. `sdfr
+    /// batch`'s firing-cap estimates) may pass their own size to
     /// [`map_indexed_chunked`](Pool::map_indexed_chunked) instead.
     #[must_use]
     pub fn chunk_size(&self, n: usize) -> usize {
@@ -632,17 +638,6 @@ pub fn current() -> Pool {
     global().clone()
 }
 
-/// The calling thread's background-worker index within its pool:
-/// `Some(0..threads-1)` on a pool worker thread, `None` on scope-driving
-/// and outside threads. Per-worker scratch shards (e.g. the buffer
-/// searcher's session seeders) use this to claim a contention-free slot;
-/// `None` callers share a fallback slot, which in practice is only the
-/// single scope-driving thread.
-#[must_use]
-pub fn worker_index() -> Option<usize> {
-    WORKER.with(|w| w.borrow().as_ref().map(|ctx| ctx.index))
-}
-
 /// The error returned by [`env_threads`] for a malformed `SDFR_THREADS`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ThreadsError {
@@ -737,28 +732,6 @@ mod tests {
                 assert!(c >= 1);
                 assert!(c * threads * 4 >= n, "threads={threads} n={n} chunk={c}");
             }
-        }
-    }
-
-    #[test]
-    fn worker_index_is_none_off_pool_and_some_on_workers() {
-        assert_eq!(worker_index(), None);
-        let pool = Pool::new(3);
-        let seen = Mutex::new(std::collections::BTreeSet::new());
-        pool.scope(|s| {
-            for _ in 0..64 {
-                let seen = &seen;
-                s.spawn(move |_| {
-                    seen.lock().unwrap().insert(worker_index());
-                    // Give the other workers a chance to claim a task.
-                    std::thread::sleep(Duration::from_millis(1));
-                });
-            }
-        });
-        // Every observed index fits the worker range (the driver shows
-        // up as None when it helps).
-        for idx in seen.lock().unwrap().iter().flatten() {
-            assert!(*idx < 2);
         }
     }
 

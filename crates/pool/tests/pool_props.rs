@@ -78,10 +78,8 @@ proptest! {
 
     /// `map_indexed_chunked` is byte-identical to serial iteration for
     /// *every* (width, chunk) combination — chunk 0, chunk 1, chunks that
-    /// divide `n`, chunks that don't, and chunks larger than `n`. This is
-    /// the determinism contract the coarse-grained capacity-probe and
-    /// Pareto fan-outs rely on: chunking may only change wall-clock, never
-    /// values or order.
+    /// divide `n`, chunks that don't, and chunks larger than `n`: chunking
+    /// may only change wall-clock, never values or order.
     #[test]
     fn chunked_map_matches_serial_at_any_width_and_chunk(
         values in collection::vec(any::<u64>(), 0..96usize),
