@@ -1112,7 +1112,10 @@ mod tests {
             indices: Some(vec![4, 6]),
         };
         let doc = req.to_json();
-        assert!(doc.starts_with("{\"schema\":\"sdfr-api/1\",\"graphs\":["), "{doc}");
+        assert!(
+            doc.starts_with("{\"schema\":\"sdfr-api/1\",\"graphs\":["),
+            "{doc}"
+        );
         let back = AnalysisRequest::from_json(&doc).unwrap();
         assert_eq!(back, req);
         assert_eq!(back.caps_budget().max_firings(), Some(500));
@@ -1154,7 +1157,10 @@ mod tests {
         assert!(!flat.tagged);
         assert!(tagged.tagged);
         assert_eq!(
-            AnalysisRequest { tagged: false, ..tagged },
+            AnalysisRequest {
+                tagged: false,
+                ..tagged
+            },
             flat
         );
     }
@@ -1166,9 +1172,8 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, RequestError::UnsupportedKind(_)), "{err:?}");
-        let body =
-            ErrorBody::new("unsupported-kind", err.to_string(), EXIT_USAGE)
-                .with_supported(WorkloadKind::SUPPORTED);
+        let body = ErrorBody::new("unsupported-kind", err.to_string(), EXIT_USAGE)
+            .with_supported(WorkloadKind::SUPPORTED);
         let json = body.to_json();
         assert!(
             json.contains("\"supported\":[\"csdf\",\"sadf\",\"sdf\"],\"exit\":2"),
@@ -1301,10 +1306,7 @@ mod tests {
         let record = UnitRecord {
             workload_kind: WorkloadKind::Sadf,
             scenarios: Some(ScenarioSet {
-                periods: vec![
-                    ("fast".into(), Some("3".into())),
-                    ("slow".into(), None),
-                ],
+                periods: vec![("fast".into(), Some("3".into())), ("slow".into(), None)],
                 cycle: vec!["s0".into(), "s1".into()],
             }),
             ..UnitRecord::standalone(

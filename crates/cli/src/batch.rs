@@ -552,8 +552,7 @@ pub(crate) fn analyze_sadf_source(
         }
     };
     let workload = content.and_then(|c| {
-        sdfr_sadf::Workload::from_text(&c)
-            .map_err(|e| CliError::invalid(format!("{name}: {e}")))
+        sdfr_sadf::Workload::from_text(&c).map_err(|e| CliError::invalid(format!("{name}: {e}")))
     });
     let workload = match workload {
         Ok(w) => w,

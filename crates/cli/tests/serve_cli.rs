@@ -1121,14 +1121,19 @@ fn sadf_roundtrip_matches_in_process_json() {
     assert!(line.contains("\"workload_kind\":\"sadf\""), "{line}");
     assert!(line.contains("\"period\":\"8\""), "{line}");
     assert!(
-        line.contains("\"scenarios\":{\"periods\":{\"fast\":\"3\",\"slow\":\"9\"},\"cycle\":[\"s0\",\"s1\"]}"),
+        line.contains(
+            "\"scenarios\":{\"periods\":{\"fast\":\"3\",\"slow\":\"9\"},\"cycle\":[\"s0\",\"s1\"]}"
+        ),
         "{line}"
     );
     let again = sdfr(&["--server", &server.addr, "analyze", path]);
     assert_eq!(again.stdout, local.stdout);
     let stats = sdfr(&["stats", "--server", &server.addr]);
     let stats = String::from_utf8_lossy(&stats.stdout).into_owned();
-    assert!(!stats.contains("\"hits\":0,"), "warm scenarios must hit: {stats}");
+    assert!(
+        !stats.contains("\"hits\":0,"),
+        "warm scenarios must hit: {stats}"
+    );
 }
 
 /// The cyclo-static oracle across every front-end: a balanced CSDF graph
@@ -1200,7 +1205,8 @@ fn tagged_and_flat_requests_answer_identically() {
     let server = Server::start(&[]);
     let graphs = r#"[{"name":"g.sdf","content":"graph g\nactor a 2\nchannel a a 1 1 1\n"}]"#;
     let flat = format!(r#"{{"schema":"sdfr-api/1","graphs":{graphs}}}"#);
-    let tagged = format!(r#"{{"schema":"sdfr-api/1","workload":{{"kind":"sdf","graphs":{graphs}}}}}"#);
+    let tagged =
+        format!(r#"{{"schema":"sdfr-api/1","workload":{{"kind":"sdf","graphs":{graphs}}}}}"#);
     let (s1, b1) = http(&server.addr, "POST", "/v1/analyze", &flat);
     let (s2, b2) = http(&server.addr, "POST", "/v1/analyze", &tagged);
     assert_eq!(s1, 200, "{b1}");
@@ -1276,7 +1282,10 @@ fn future_minor_versions_are_forward_compatible() {
     stub.join().unwrap();
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(stdout, response_body, "future-minor lines must pass through");
+    assert_eq!(
+        stdout, response_body,
+        "future-minor lines must pass through"
+    );
 
     // The major guard still refuses.
     let bad = sdfr(&["--api-version", "2.0", "analyze", &demo, "--json"]);
