@@ -98,23 +98,6 @@ pub fn self_timed_buffer_bounds(g: &SdfGraph, iterations: u64) -> Result<Vec<u64
     Ok(trace.channel_peak_tokens)
 }
 
-/// [`self_timed_buffer_bounds`] under a resource [`Budget`]: the underlying
-/// simulation executes `iterations · Σγ(a)` firings, all charged to the
-/// budget.
-///
-/// # Errors
-///
-/// As [`self_timed_buffer_bounds`], plus [`SdfError::Exhausted`] when the
-/// budget runs out.
-pub fn self_timed_buffer_bounds_with_budget(
-    g: &SdfGraph,
-    iterations: u64,
-    budget: &Budget,
-) -> Result<Vec<u64>, SdfError> {
-    let opts = SimulationOptions::iterations(iterations).with_budget(budget.clone());
-    Ok(simulate(g, &opts)?.channel_peak_tokens)
-}
-
 /// The total peak memory over all channels (sum of per-channel peaks).
 ///
 /// # Errors
@@ -238,24 +221,18 @@ pub fn period_with_capacities(
     g: &SdfGraph,
     capacities: &[u64],
 ) -> Result<Option<sdfr_maxplus::Rational>, SdfError> {
-    period_with_capacities_budgeted(g, capacities, &Budget::unlimited())
+    period_with_capacities_seeded(
+        g,
+        capacities,
+        &Budget::unlimited(),
+        &mut FamilySeeder::default(),
+    )
 }
 
 /// [`period_with_capacities`] with the bounded graph's analysis charged to
-/// `budget`.
-fn period_with_capacities_budgeted(
-    g: &SdfGraph,
-    capacities: &[u64],
-    budget: &Budget,
-) -> Result<Option<sdfr_maxplus::Rational>, SdfError> {
-    let bounded = with_capacities(g, capacities)?;
-    Ok(crate::throughput::throughput_with_budget(&bounded, budget)?.period())
-}
-
-/// [`period_with_capacities_budgeted`] with the bounded graph's symbolic
-/// iteration seeded from — and its archive offered back to — the search's
-/// [`FamilySeeder`]. Answers (and budget accounting) are byte-identical to
-/// the unseeded probe; only wall-clock time differs.
+/// `budget` and its symbolic iteration seeded from — and its archive offered
+/// back to — the search's [`FamilySeeder`]. Answers (and budget accounting)
+/// are byte-identical to an unseeded probe; only wall-clock time differs.
 fn period_with_capacities_seeded(
     g: &SdfGraph,
     capacities: &[u64],
@@ -287,33 +264,12 @@ fn period_with_capacities_seeded(
 /// unconstrained throughput is unbounded (no finite allocation reproduces
 /// it) or when verification fails within the search budget.
 pub fn sufficient_capacities(g: &SdfGraph, iterations: u64) -> Result<Vec<u64>, SdfError> {
-    sufficient_capacities_with_budget(g, iterations, &Budget::unlimited())
+    AnalysisSession::new(g.clone()).sufficient_capacities(iterations)
 }
 
-/// [`sufficient_capacities`] under a resource [`Budget`].
-///
-/// Every probe (the unconstrained analysis, the self-timed simulation, and
-/// each verification of a candidate allocation) is charged against the same
-/// budget: a deadline or cancellation flag bounds the whole search, while a
-/// firing cap applies to each probe individually (each probe creates its own
-/// meter).
-///
-/// # Errors
-///
-/// As [`sufficient_capacities`], plus [`SdfError::Exhausted`] when the
-/// budget runs out mid-search.
-pub fn sufficient_capacities_with_budget(
-    g: &SdfGraph,
-    iterations: u64,
-    budget: &Budget,
-) -> Result<Vec<u64>, SdfError> {
-    let target = crate::throughput::throughput_with_budget(g, budget)?.period();
-    sufficient_capacities_with_target(g, iterations, budget, target)
-}
-
-/// [`sufficient_capacities_with_budget`] against an already-known
-/// unconstrained period (the [`AnalysisSession`](crate::session::AnalysisSession)
-/// cache), skipping the redundant throughput analysis.
+/// The search behind [`AnalysisSession::sufficient_capacities`], against the
+/// session's unconstrained period `target`. The self-timed simulation and
+/// every verification probe get their own firing meter against `budget`.
 pub(crate) fn sufficient_capacities_with_target(
     g: &SdfGraph,
     iterations: u64,
@@ -348,7 +304,8 @@ pub(crate) fn sufficient_capacities_with_target(
     // verify, and widen geometrically a few times before giving up. The
     // token guard keeps the spectral analysis of the bounded graph cheap.
     for _ in 0..6 {
-        if period_with_capacities_budgeted(g, &caps, budget)? == target {
+        let mut cold = FamilySeeder::default();
+        if period_with_capacities_seeded(g, &caps, budget, &mut cold)? == target {
             return Ok(caps);
         }
         let total: u64 = caps.iter().sum();
@@ -382,24 +339,7 @@ pub(crate) fn sufficient_capacities_with_target(
 ///
 /// Propagates analysis errors from the unconstrained graph.
 pub fn minimize_capacities(g: &SdfGraph, iterations: u64) -> Result<Vec<u64>, SdfError> {
-    minimize_capacities_with_budget(g, iterations, &Budget::unlimited())
-}
-
-/// [`minimize_capacities`] under a resource [`Budget`]; see
-/// [`sufficient_capacities_with_budget`] for how the budget applies to the
-/// many probes of the search.
-///
-/// # Errors
-///
-/// As [`minimize_capacities`], plus [`SdfError::Exhausted`] when the budget
-/// runs out mid-search.
-pub fn minimize_capacities_with_budget(
-    g: &SdfGraph,
-    iterations: u64,
-    budget: &Budget,
-) -> Result<Vec<u64>, SdfError> {
-    let target = crate::throughput::throughput_with_budget(g, budget)?.period();
-    minimize_capacities_with_target(g, iterations, budget, target)
+    AnalysisSession::new(g.clone()).minimize_capacities(iterations)
 }
 
 /// Whether capacities `probe` reproduce the target period. A deadlocking
@@ -419,9 +359,9 @@ fn probe_feasible(
     }
 }
 
-/// The shrink search behind [`minimize_capacities_with_budget`], against an
-/// already-known target period: a greedy left-to-right binary shrink of
-/// each channel within `[floor, current]`.
+/// The shrink search behind [`AnalysisSession::minimize_capacities`], against
+/// the session's unconstrained period `target`: a greedy left-to-right
+/// binary shrink of each channel within `[floor, current]`.
 ///
 /// Feasibility is monotone in every single capacity (extra slots only add
 /// tokens to the reverse channel, which can only shorten cycles), so each
@@ -572,22 +512,22 @@ mod capacity_tests {
     fn budgeted_capacity_search() {
         use sdfr_graph::budget::BudgetResource;
         let g = pipeline();
-        let tight = Budget::unlimited().with_max_firings(1);
+        let tight =
+            AnalysisSession::with_budget(g.clone(), Budget::unlimited().with_max_firings(1));
         assert!(matches!(
-            minimize_capacities_with_budget(&g, 16, &tight),
+            tight.minimize_capacities(16),
             Err(SdfError::Exhausted {
                 resource: BudgetResource::Firings,
                 ..
             })
         ));
-        let ample = Budget::unlimited().with_max_firings(1_000_000);
-        assert_eq!(
-            minimize_capacities_with_budget(&g, 16, &ample).unwrap(),
-            minimize_capacities(&g, 16).unwrap()
+        let ample = AnalysisSession::with_budget(
+            g.clone(),
+            Budget::unlimited().with_max_firings(1_000_000),
         );
         assert_eq!(
-            self_timed_buffer_bounds_with_budget(&g, 10, &ample).unwrap(),
-            self_timed_buffer_bounds(&g, 10).unwrap()
+            ample.minimize_capacities(16).unwrap(),
+            minimize_capacities(&g, 16).unwrap()
         );
     }
 
@@ -683,8 +623,7 @@ pub fn throughput_buffer_tradeoff(
     g: &SdfGraph,
     iterations: u64,
 ) -> Result<Vec<ParetoPoint>, SdfError> {
-    let target = crate::throughput::throughput(g)?.period();
-    throughput_buffer_tradeoff_with_target(g, iterations, target)
+    AnalysisSession::new(g.clone()).throughput_buffer_tradeoff(iterations)
 }
 
 /// Deadlocked allocations count as zero throughput.
@@ -696,9 +635,10 @@ fn period_at(
     period_with_capacities_seeded(g, caps, &Budget::unlimited(), seeder).unwrap_or_default()
 }
 
-/// The greedy sweep behind [`throughput_buffer_tradeoff`], against an
-/// already-known target period. Each step probes +1 on every growable
-/// channel in ascending channel order and keeps the first strict best.
+/// The greedy sweep behind [`AnalysisSession::throughput_buffer_tradeoff`],
+/// against the session's unconstrained period `target`. Each step probes +1
+/// on every growable channel in ascending channel order and keeps the first
+/// strict best.
 pub(crate) fn throughput_buffer_tradeoff_with_target(
     g: &SdfGraph,
     iterations: u64,

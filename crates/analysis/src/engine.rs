@@ -380,9 +380,7 @@ pub struct SymbolicEngine {
 impl SymbolicEngine {
     /// Creates a cold engine for one iteration of `g`.
     ///
-    /// Performs the same pre-allocation budget checks as
-    /// [`symbolic_iteration_scheduled`](crate::symbolic::symbolic_iteration_scheduled):
-    /// the token count is overflow-checked and validated against the size
+    /// The token count is overflow-checked and validated against the size
     /// cap *before* the state is allocated.
     ///
     /// # Errors

@@ -11,14 +11,25 @@
 //!
 //! # Budget accounting
 //!
-//! A session owns one [`Budget`] and keeps a cumulative firing count: each
-//! lazy computation runs under a meter resumed from the running total
-//! ([`Budget::meter_resuming`]), so a firing cap applies to the *sum* of all
-//! work the session ever did — strictly stronger than the one-meter-per-call
-//! accounting of the free functions, and with the same graceful degradation:
-//! an exhausted computation yields [`SdfError::Exhausted`], which is cached
-//! like any other result (asking again does not retry, because the budget
-//! could only be more depleted).
+//! A session is the one place a [`Budget`] enters an analysis: the free
+//! functions ([`crate::throughput::throughput`],
+//! [`crate::buffer::minimize_capacities`], …) are unbudgeted one-line
+//! delegations to a fresh unlimited session. A session owns its budget and
+//! keeps a cumulative firing count: each memoized computation (γ, schedule,
+//! symbolic iteration and everything derived from it) runs under a meter
+//! resumed from the running total ([`Budget::meter_resuming`]), so a firing
+//! cap applies to the *sum* of that work. An exhausted computation yields
+//! [`SdfError::Exhausted`], which is cached like any other result (asking
+//! again does not retry, because the budget could only be more depleted).
+//!
+//! The unmemoized per-call analyses — [`AnalysisSession::self_timed_buffer_bounds`],
+//! [`AnalysisSession::rate_optimal_schedule`] and the capacity searches —
+//! leave the running total alone: each simulation or probe they run gets a
+//! fresh meter against the session budget, so the firing cap bounds every
+//! probe individually while the deadline and cancellation flag bound the
+//! whole call. Composite analyses built on top of a session (the HSDF
+//! conversions in `sdfr-core`) share the running total through
+//! [`AnalysisSession::with_meter`].
 //!
 //! # Thread safety
 //!
@@ -62,6 +73,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use sdfr_graph::budget::{Budget, BudgetMeter};
+use sdfr_graph::execution::{simulate, SimulationOptions};
 use sdfr_graph::repetition::{repetition_vector, RepetitionVector};
 use sdfr_graph::schedule::{sequential_schedule_metered, Schedule};
 use sdfr_graph::{SdfError, SdfGraph, Time};
@@ -73,9 +85,10 @@ use crate::buffer::{
     throughput_buffer_tradeoff_with_target, ParetoPoint,
 };
 use crate::engine::{EngineArchive, IncrementalSeed, SymbolicEngine};
-use crate::static_schedule::{rate_optimal_schedule_with_budget, StaticSchedule};
+use crate::static_schedule::{schedule_for, StaticSchedule};
 use crate::symbolic::SymbolicIteration;
-use crate::throughput::ThroughputAnalysis;
+use crate::throughput::{hsdf_period, ThroughputAnalysis};
+use crate::CycleRatio;
 
 /// A lazily-memoized result slot. Errors are cached too: the budget can only
 /// be more depleted on a retry, and all other failures (inconsistency,
@@ -421,9 +434,17 @@ impl AnalysisSession {
     /// computed, it is returned instead of running a second iteration — it
     /// carries strictly more information.
     ///
+    /// The execution fires `Σγ(a)` actors — potentially exponential in the
+    /// graph description (paper, Sec. 2) — and builds an `N×N` matrix over
+    /// the `N` initial tokens. The firing cap bounds the former (cumulatively
+    /// with the schedule), the size cap the latter — checked before any
+    /// state is allocated — and the deadline both.
+    ///
     /// # Errors
     ///
-    /// See [`crate::symbolic::symbolic_iteration_with_budget`].
+    /// [`SdfError::Inconsistent`], [`SdfError::Deadlock`],
+    /// [`SdfError::Overflow`] if time stamps exceed the integer range, or
+    /// [`SdfError::Exhausted`] under the session budget.
     pub fn symbolic(&self) -> Result<&SymbolicIteration, SdfError> {
         if let Some(Ok(sym)) = self.symbolic_stamps.get() {
             return Ok(sym);
@@ -436,6 +457,7 @@ impl AnalysisSession {
 
     /// The symbolic iteration with per-firing `(start, end)` stamps (needed
     /// to wire observed actors into the novel conversion), computed once.
+    /// The extra stamps cost `O(Σγ(a) · N)` memory.
     ///
     /// # Errors
     ///
@@ -605,42 +627,88 @@ impl AnalysisSession {
             .clone()
     }
 
-    /// A rate-optimal static periodic schedule under the session budget (see
-    /// [`crate::static_schedule::rate_optimal_schedule_with_budget`]).
-    ///
-    /// Not memoized: the result is large and typically requested once.
-    ///
-    /// # Errors
-    ///
-    /// See [`crate::static_schedule::rate_optimal_schedule_with_budget`].
-    pub fn rate_optimal_schedule(&self) -> Result<Option<StaticSchedule>, SdfError> {
-        rate_optimal_schedule_with_budget(&self.graph, &self.budget)
-    }
-
-    /// Throughput-preserving channel capacities (see
-    /// [`crate::buffer::sufficient_capacities_with_budget`]), reusing the
-    /// session's cached unconstrained period as the target.
+    /// Per-channel peak token counts over `iterations` self-timed
+    /// iterations (see [`crate::buffer::self_timed_buffer_bounds`]). The
+    /// simulation executes `iterations · Σγ(a)` firings under a fresh meter
+    /// against the session budget.
     ///
     /// Not memoized: the result depends on `iterations`.
     ///
     /// # Errors
     ///
-    /// See [`crate::buffer::sufficient_capacities_with_budget`].
+    /// See [`sdfr_graph::execution::simulate`], plus [`SdfError::Exhausted`]
+    /// when the budget runs out.
+    pub fn self_timed_buffer_bounds(&self, iterations: u64) -> Result<Vec<u64>, SdfError> {
+        let opts = SimulationOptions::iterations(iterations).with_budget(self.budget.clone());
+        Ok(simulate(&self.graph, &opts)?.channel_peak_tokens)
+    }
+
+    /// A rate-optimal static periodic schedule of the (homogeneous) session
+    /// graph (see [`crate::static_schedule::rate_optimal_schedule`]).
+    ///
+    /// HSDF graphs produced by the traditional conversion have `Σγ(a)`
+    /// actors — potentially exponential in the original description — and
+    /// synthesis runs an `O(n³)` Kleene star over them. The size cap rejects
+    /// oversized inputs before the `n×n` constraint matrix is allocated; the
+    /// deadline and cancellation flag are polled before and after the
+    /// closure.
+    ///
+    /// Not memoized: the result is large and typically requested once.
+    ///
+    /// # Errors
+    ///
+    /// [`SdfError::NotHomogeneous`] for multirate graphs,
+    /// [`SdfError::Deadlock`] for a zero-token cycle, or
+    /// [`SdfError::Exhausted`] when the budget refuses the input or runs out.
+    pub fn rate_optimal_schedule(&self) -> Result<Option<StaticSchedule>, SdfError> {
+        let g = &self.graph;
+        let mut meter = self.budget.meter();
+        meter.check_size(g.num_actors() as u64)?;
+        meter.poll()?;
+        match hsdf_period(g)? {
+            CycleRatio::Finite(lambda) => {
+                meter.poll()?;
+                Ok(Some(schedule_for(g, lambda)?))
+            }
+            CycleRatio::Acyclic => Ok(None),
+            CycleRatio::ZeroTokenCycle => Err(SdfError::Deadlock {
+                fired: 0,
+                needed: g.num_actors() as u64,
+            }),
+        }
+    }
+
+    /// Throughput-preserving channel capacities (see
+    /// [`crate::buffer::sufficient_capacities`]), reusing the session's
+    /// cached unconstrained period as the target.
+    ///
+    /// The self-timed simulation and each verification of a candidate
+    /// allocation run under their own meter against the session budget: a
+    /// deadline or cancellation flag bounds the whole search, a firing cap
+    /// each probe.
+    ///
+    /// Not memoized: the result depends on `iterations`.
+    ///
+    /// # Errors
+    ///
+    /// See [`crate::buffer::sufficient_capacities`], plus
+    /// [`SdfError::Exhausted`] when the budget runs out mid-search.
     pub fn sufficient_capacities(&self, iterations: u64) -> Result<Vec<u64>, SdfError> {
         let target = self.eigenvalue()?;
         sufficient_capacities_with_target(&self.graph, iterations, &self.budget, target)
     }
 
     /// Locally-minimal throughput-preserving capacities (see
-    /// [`crate::buffer::minimize_capacities_with_budget`]), reusing the
-    /// session's cached unconstrained period as the target. The shrink
-    /// search runs serially on the calling thread.
+    /// [`crate::buffer::minimize_capacities`]), reusing the session's cached
+    /// unconstrained period as the target. The shrink search runs serially
+    /// on the calling thread; its probes are budgeted as in
+    /// [`Self::sufficient_capacities`].
     ///
     /// Not memoized: the result depends on `iterations`.
     ///
     /// # Errors
     ///
-    /// See [`crate::buffer::minimize_capacities_with_budget`].
+    /// See [`Self::sufficient_capacities`].
     pub fn minimize_capacities(&self, iterations: u64) -> Result<Vec<u64>, SdfError> {
         let target = self.eigenvalue()?;
         minimize_capacities_with_target(&self.graph, iterations, &self.budget, target)
@@ -780,6 +848,28 @@ mod tests {
         // The session ran exactly one symbolic iteration of the *original*
         // graph; all probes analyse capacity-variant copies.
         assert_eq!(s.symbolic_iterations_computed(), 1);
+    }
+
+    #[test]
+    fn self_timed_buffer_bounds_follow_the_session_budget() {
+        use sdfr_graph::budget::BudgetResource;
+        let g = fig3(); // 3 firings per iteration
+        let unlimited = AnalysisSession::new(g.clone());
+        assert_eq!(
+            unlimited.self_timed_buffer_bounds(10).unwrap(),
+            crate::buffer::self_timed_buffer_bounds(&g, 10).unwrap()
+        );
+        let capped = AnalysisSession::with_budget(g, Budget::unlimited().with_max_firings(5));
+        match capped.self_timed_buffer_bounds(10) {
+            Err(SdfError::Exhausted {
+                resource: BudgetResource::Firings,
+                limit: 5,
+                ..
+            }) => {}
+            other => panic!("expected firing exhaustion, got {other:?}"),
+        }
+        // Per-call metering: the running total is left alone.
+        assert_eq!(capped.spent(), 0);
     }
 
     #[test]

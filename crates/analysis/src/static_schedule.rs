@@ -15,12 +15,11 @@
 //! longest-path potentials of the constraint graph, computed with the
 //! max-plus Kleene star at an integer scale that clears λ's denominator.
 
-use sdfr_graph::budget::Budget;
 use sdfr_graph::{ActorId, SdfError, SdfGraph, Time};
 use sdfr_maxplus::{closure, Mp, MpMatrix, MpVector, Rational};
 
 use crate::throughput::hsdf_period;
-use crate::CycleRatio;
+use crate::{AnalysisSession, CycleRatio};
 
 /// A static periodic schedule of an HSDF graph.
 ///
@@ -114,40 +113,7 @@ impl StaticSchedule {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn rate_optimal_schedule(g: &SdfGraph) -> Result<Option<StaticSchedule>, SdfError> {
-    rate_optimal_schedule_with_budget(g, &Budget::unlimited())
-}
-
-/// [`rate_optimal_schedule`] under a resource [`Budget`].
-///
-/// HSDF graphs produced by the traditional conversion have `Σγ(a)` actors —
-/// potentially exponential in the original description — and schedule
-/// synthesis runs an `O(n³)` Kleene star over them. The budget's size cap
-/// rejects oversized inputs before the `n×n` constraint matrix is
-/// allocated; its deadline and cancellation flag are polled before and
-/// after the closure.
-///
-/// # Errors
-///
-/// As [`rate_optimal_schedule`], plus [`SdfError::Exhausted`] when the
-/// budget refuses the input or runs out.
-pub fn rate_optimal_schedule_with_budget(
-    g: &SdfGraph,
-    budget: &Budget,
-) -> Result<Option<StaticSchedule>, SdfError> {
-    let mut meter = budget.meter();
-    meter.check_size(g.num_actors() as u64)?;
-    meter.poll()?;
-    match hsdf_period(g)? {
-        CycleRatio::Finite(lambda) => {
-            meter.poll()?;
-            Ok(Some(schedule_for(g, lambda)?))
-        }
-        CycleRatio::Acyclic => Ok(None),
-        CycleRatio::ZeroTokenCycle => Err(SdfError::Deadlock {
-            fired: 0,
-            needed: g.num_actors() as u64,
-        }),
-    }
+    AnalysisSession::new(g.clone()).rate_optimal_schedule()
 }
 
 /// Synthesizes a static periodic schedule with a caller-chosen period
@@ -170,7 +136,7 @@ pub fn schedule_with_period(g: &SdfGraph, mu: Rational) -> Result<StaticSchedule
 }
 
 /// Longest-path potentials of the constraint graph at period `mu`.
-fn schedule_for(g: &SdfGraph, mu: Rational) -> Result<StaticSchedule, SdfError> {
+pub(crate) fn schedule_for(g: &SdfGraph, mu: Rational) -> Result<StaticSchedule, SdfError> {
     let n = g.num_actors();
     let scale = mu.denom();
     let scaled_period = mu.numer();
@@ -357,15 +323,15 @@ mod tests {
 
     #[test]
     fn size_cap_guards_schedule_synthesis() {
+        use sdfr_graph::budget::Budget;
         let g = two_cycle(); // 2 actors
-        let tight = Budget::unlimited().with_max_size(1);
+        let session =
+            |cap| AnalysisSession::with_budget(g.clone(), Budget::unlimited().with_max_size(cap));
         assert!(matches!(
-            rate_optimal_schedule_with_budget(&g, &tight),
+            session(1).rate_optimal_schedule(),
             Err(SdfError::Exhausted { .. })
         ));
-        let ok = rate_optimal_schedule_with_budget(&g, &Budget::unlimited().with_max_size(2))
-            .unwrap()
-            .unwrap();
+        let ok = session(2).rate_optimal_schedule().unwrap().unwrap();
         assert_eq!(ok.period(), Rational::from(5));
     }
 

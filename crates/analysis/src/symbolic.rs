@@ -13,11 +13,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use sdfr_graph::budget::{Budget, BudgetMeter};
+use sdfr_graph::budget::Budget;
 use sdfr_graph::repetition::{repetition_vector, RepetitionVector};
-use sdfr_graph::schedule::{sequential_schedule_metered, Schedule};
+use sdfr_graph::schedule::sequential_schedule_metered;
 use sdfr_graph::{ChannelId, SdfError, SdfGraph};
 use sdfr_maxplus::{MpMatrix, MpVector};
+
+use crate::engine::SymbolicEngine;
 
 /// Identifies one initial token: the `position`-th token (FIFO order, 0 is
 /// the head) on `channel`.
@@ -44,7 +46,7 @@ pub struct SymbolicIteration {
     pub gamma: RepetitionVector,
     /// Per-actor symbolic `(start, end)` stamps of every firing in the
     /// iteration, indexed `[actor][firing]`; recorded when requested via
-    /// [`symbolic_iteration_with_stamps`].
+    /// [`AnalysisSession::symbolic_with_stamps`](crate::AnalysisSession::symbolic_with_stamps).
     pub firing_stamps: Option<Vec<Vec<(MpVector, MpVector)>>>,
     /// Reverse map of `tokens`, built once at construction so that
     /// [`token_index`](Self::token_index) is O(1) — the bottleneck and
@@ -118,124 +120,33 @@ impl SymbolicIteration {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn symbolic_iteration(g: &SdfGraph) -> Result<SymbolicIteration, SdfError> {
-    let budget = Budget::unlimited();
-    let mut meter = budget.meter();
-    run(g, false, &mut meter)
-}
-
-/// [`symbolic_iteration`] under a resource [`Budget`].
-///
-/// The symbolic execution fires `Σγ(a)` actors — potentially exponential in
-/// the graph description (paper, Sec. 2) — and builds an `N×N` matrix over
-/// the `N` initial tokens. The budget's firing cap bounds the former, its
-/// size cap the latter, and the deadline both.
-///
-/// # Errors
-///
-/// As [`symbolic_iteration`], plus [`SdfError::Exhausted`] when the budget
-/// runs out and [`SdfError::Overflow`] if time stamps exceed the integer
-/// range.
-pub fn symbolic_iteration_with_budget(
-    g: &SdfGraph,
-    budget: &Budget,
-) -> Result<SymbolicIteration, SdfError> {
-    let mut meter = budget.meter();
-    run(g, false, &mut meter)
-}
-
-/// [`symbolic_iteration`] charging an existing [`BudgetMeter`], for
-/// composite analyses that account several phases against one budget.
-///
-/// # Errors
-///
-/// See [`symbolic_iteration_with_budget`].
-pub fn symbolic_iteration_metered(
-    g: &SdfGraph,
-    meter: &mut BudgetMeter<'_>,
-) -> Result<SymbolicIteration, SdfError> {
-    run(g, false, meter)
-}
-
-/// Like [`symbolic_iteration`], additionally recording the symbolic
-/// `(start, end)` stamp of every firing.
-///
-/// The extra stamps cost `O(Σγ(a) · N)` memory; use only when the firing
-/// stamps are needed (e.g. to wire an observed output actor into the novel
-/// HSDF conversion).
-///
-/// # Errors
-///
-/// See [`symbolic_iteration`].
-pub fn symbolic_iteration_with_stamps(g: &SdfGraph) -> Result<SymbolicIteration, SdfError> {
-    let budget = Budget::unlimited();
-    let mut meter = budget.meter();
-    run(g, true, &mut meter)
-}
-
-/// [`symbolic_iteration_with_stamps`] charging an existing [`BudgetMeter`].
-///
-/// # Errors
-///
-/// See [`symbolic_iteration_with_budget`].
-pub fn symbolic_iteration_with_stamps_metered(
-    g: &SdfGraph,
-    meter: &mut BudgetMeter<'_>,
-) -> Result<SymbolicIteration, SdfError> {
-    run(g, true, meter)
-}
-
-fn run(
-    g: &SdfGraph,
-    record_stamps: bool,
-    meter: &mut BudgetMeter<'_>,
-) -> Result<SymbolicIteration, SdfError> {
     let gamma = repetition_vector(g)?;
-
-    // The matrix is N×N over the N initial tokens and every stamp vector has
-    // N entries: refuse to build the state before allocating it when the
-    // size cap says it cannot be afforded.
-    let token_total = g
-        .channels()
+    // Every stamp vector has one entry per initial token: reject a token
+    // count that does not even fit the counter before building any state.
+    g.channels()
         .try_fold(0u64, |s, (_, ch)| s.checked_add(ch.initial_tokens()))
         .ok_or(SdfError::Overflow {
             what: "initial token count",
         })?;
-    meter.check_size(token_total)?;
-
-    let schedule = sequential_schedule_metered(g, &gamma, meter)?;
-    symbolic_iteration_scheduled(g, &gamma, &schedule, record_stamps, meter)
-}
-
-/// Symbolically executes one iteration of `g` against a precomputed
-/// repetition vector and sequential schedule, charging only the firing loop
-/// to `meter`.
-///
-/// This is the primitive behind [`symbolic_iteration`] used by
-/// [`AnalysisSession`](crate::session::AnalysisSession) to reuse its cached
-/// γ and schedule instead of recomputing them. `schedule` must be a valid
-/// single-iteration schedule of `g` for `gamma`; the stamp bookkeeping
-/// panics on token underflow otherwise.
-///
-/// # Errors
-///
-/// See [`symbolic_iteration_with_budget`].
-pub fn symbolic_iteration_scheduled(
-    g: &SdfGraph,
-    gamma: &RepetitionVector,
-    schedule: &Schedule,
-    record_stamps: bool,
-    meter: &mut BudgetMeter<'_>,
-) -> Result<SymbolicIteration, SdfError> {
-    let mut engine =
-        crate::engine::SymbolicEngine::new(Arc::new(g.clone()), gamma, record_stamps, meter)?;
-    engine.run_scheduled(schedule, meter)?;
+    let budget = Budget::unlimited();
+    let mut meter = budget.meter();
+    let schedule = sequential_schedule_metered(g, &gamma, &mut meter)?;
+    let mut engine = SymbolicEngine::new(Arc::new(g.clone()), &gamma, false, &mut meter)?;
+    engine.run_scheduled(&schedule, &mut meter)?;
     Ok(engine.finish())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AnalysisSession;
     use sdfr_maxplus::{Mp, Rational};
+
+    fn budgeted(g: &SdfGraph, b: Budget) -> Result<SymbolicIteration, SdfError> {
+        AnalysisSession::with_budget(g.clone(), b)
+            .symbolic()
+            .cloned()
+    }
 
     /// The running example of the paper's Fig. 3: two actors, the left one
     /// (execution time 3) fires twice, the right one (time 1) fires once.
@@ -341,7 +252,8 @@ mod tests {
         let g = fig3();
         let sym = symbolic_iteration(&g).unwrap();
         assert!(sym.firing_stamps.is_none());
-        let sym = symbolic_iteration_with_stamps(&g).unwrap();
+        let session = AnalysisSession::new(g.clone());
+        let sym = session.symbolic_with_stamps().unwrap();
         let stamps = sym.firing_stamps.as_ref().unwrap();
         let l = g.actor_by_name("left").unwrap();
         let r = g.actor_by_name("right").unwrap();
@@ -382,26 +294,23 @@ mod tests {
     fn budget_caps_symbolic_firings() {
         let g = fig3(); // 3 firings per iteration
         let b = Budget::unlimited().with_max_firings(2);
-        match symbolic_iteration_with_budget(&g, &b) {
+        match budgeted(&g, b) {
             // The schedule precheck rejects the 3-firing iteration before
             // any work is done, so nothing has been spent yet.
             Err(SdfError::Exhausted { limit: 2, .. }) => {}
             other => panic!("expected Exhausted, got {other:?}"),
         }
         let b = Budget::unlimited().with_max_firings(100);
-        assert!(symbolic_iteration_with_budget(&g, &b).is_ok());
+        assert!(budgeted(&g, b).is_ok());
     }
 
     #[test]
     fn size_cap_bounds_matrix_dimension() {
         let g = fig3(); // 4 initial tokens => 4x4 matrix
         let b = Budget::unlimited().with_max_size(3);
-        assert!(matches!(
-            symbolic_iteration_with_budget(&g, &b),
-            Err(SdfError::Exhausted { .. })
-        ));
+        assert!(matches!(budgeted(&g, b), Err(SdfError::Exhausted { .. })));
         let b = Budget::unlimited().with_max_size(4);
-        assert!(symbolic_iteration_with_budget(&g, &b).is_ok());
+        assert!(budgeted(&g, b).is_ok());
     }
 
     #[test]

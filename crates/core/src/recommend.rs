@@ -8,7 +8,6 @@
 //! `N(N+2)`, both computable without running either conversion.
 
 use sdfr_analysis::AnalysisSession;
-use sdfr_graph::repetition::repetition_vector;
 use sdfr_graph::{SdfError, SdfGraph};
 
 /// Which conversion to use for a given graph.
@@ -73,13 +72,7 @@ impl SizePrediction {
 /// # Ok::<(), sdfr_graph::SdfError>(())
 /// ```
 pub fn predict_sizes(g: &SdfGraph) -> Result<SizePrediction, SdfError> {
-    let gamma = repetition_vector(g)?;
-    let tokens = g.total_initial_tokens();
-    Ok(SizePrediction {
-        traditional_actors: gamma.iteration_length(),
-        novel_actor_bound: tokens * (tokens + 2),
-        tokens,
-    })
+    predict_sizes_with_session(&AnalysisSession::new(g.clone()))
 }
 
 /// [`predict_sizes`] on an [`AnalysisSession`], reusing its cached

@@ -14,8 +14,8 @@
 use std::collections::HashMap;
 
 use sdfr_analysis::AnalysisSession;
-use sdfr_graph::budget::{Budget, BudgetMeter};
-use sdfr_graph::repetition::{repetition_vector, RepetitionVector};
+use sdfr_graph::budget::BudgetMeter;
+use sdfr_graph::repetition::RepetitionVector;
 use sdfr_graph::{ActorId, SdfError, SdfGraph};
 
 /// The result of the classical conversion.
@@ -69,12 +69,11 @@ impl TraditionalConversion {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn convert(g: &SdfGraph) -> Result<TraditionalConversion, SdfError> {
-    let budget = Budget::unlimited();
-    let mut meter = budget.meter();
-    convert_metered(g, &mut meter)
+    convert_with_session(&AnalysisSession::new(g.clone()))
 }
 
-/// [`convert`] under a resource [`Budget`].
+/// [`convert`] on an [`AnalysisSession`]: reuses the session's cached
+/// repetition vector and charges the expansion to the session budget.
 ///
 /// The conversion materialises `Σγ(a)` actors — potentially exponential in
 /// the graph description — so the repetition-vector sum is validated against
@@ -85,41 +84,13 @@ pub fn convert(g: &SdfGraph) -> Result<TraditionalConversion, SdfError> {
 ///
 /// As [`convert`], plus [`SdfError::Exhausted`] when the budget refuses the
 /// expansion or runs out mid-way.
-pub fn convert_with_budget(
-    g: &SdfGraph,
-    budget: &Budget,
-) -> Result<TraditionalConversion, SdfError> {
-    let mut meter = budget.meter();
-    convert_metered(g, &mut meter)
-}
-
-/// [`convert`] charging an existing [`BudgetMeter`], for pipelines that
-/// account several phases against one budget.
-///
-/// # Errors
-///
-/// See [`convert_with_budget`].
-pub fn convert_metered(
-    g: &SdfGraph,
-    meter: &mut BudgetMeter<'_>,
-) -> Result<TraditionalConversion, SdfError> {
-    let gamma = repetition_vector(g)?;
-    convert_with_gamma(g, &gamma, meter)
-}
-
-/// [`convert`] on an [`AnalysisSession`]: reuses the session's cached
-/// repetition vector and charges the expansion to the session budget.
-///
-/// # Errors
-///
-/// See [`convert_with_budget`].
 pub fn convert_with_session(session: &AnalysisSession) -> Result<TraditionalConversion, SdfError> {
     let gamma = session.repetition_vector()?;
     session.with_meter(|m| convert_with_gamma(session.graph(), gamma, m))
 }
 
-/// [`convert_metered`] with a precomputed repetition vector, the shared
-/// backend of the free-function and session entry points.
+/// The expansion behind [`convert_with_session`], against the session's
+/// repetition vector and meter.
 fn convert_with_gamma(
     g: &SdfGraph,
     gamma: &RepetitionVector,
@@ -321,6 +292,7 @@ mod tests {
 
     #[test]
     fn budget_refuses_exponential_expansion_before_allocating() {
+        use sdfr_graph::budget::Budget;
         use std::time::Instant;
         // Σγ = 1e9 + 1: unbudgeted expansion would OOM; the budgeted one
         // must refuse instantly, before building any copies.
@@ -332,7 +304,7 @@ mod tests {
         let budget = Budget::unlimited().with_max_size(1_000_000);
         let t0 = Instant::now();
         assert!(matches!(
-            convert_with_budget(&g, &budget),
+            convert_with_session(&AnalysisSession::with_budget(g, budget)),
             Err(SdfError::Exhausted { .. })
         ));
         assert!(t0.elapsed().as_millis() < 1000, "must fail fast");
@@ -342,7 +314,8 @@ mod tests {
         let y = b.actor("y", 1);
         b.channel(x, y, 2, 1, 0).unwrap();
         let g = b.build().unwrap();
-        let conv = convert_with_budget(&g, &Budget::unlimited().with_max_size(16)).unwrap();
+        let session = AnalysisSession::with_budget(g, Budget::unlimited().with_max_size(16));
+        let conv = convert_with_session(&session).unwrap();
         assert_eq!(conv.graph.num_actors(), 3);
     }
 

@@ -429,61 +429,12 @@ impl Pool {
     /// chunks per executor balances load under work stealing without
     /// paying per-item task overhead (boxing, queue locking, slot
     /// round-trips). Callers with a per-item cost model (e.g. `sdfr
-    /// batch`'s firing-cap estimates) may pass their own size to
-    /// [`map_indexed_chunked`](Pool::map_indexed_chunked) instead.
+    /// batch`'s firing-cap estimates) clamp their own size to this one.
     #[must_use]
     pub fn chunk_size(&self, n: usize) -> usize {
         const CHUNKS_PER_THREAD: usize = 4;
         n.div_ceil((self.threads() * CHUNKS_PER_THREAD).max(1))
             .max(1)
-    }
-
-    /// Like [`map_indexed`](Pool::map_indexed), but spawns **one task per
-    /// contiguous chunk of `chunk` indices** instead of one per index, and
-    /// flattens the per-chunk results in ascending chunk (hence index)
-    /// order. Each index still evaluates the same pure `f(i)`, so the
-    /// output is element-for-element identical to the serial
-    /// `(0..n).map(f)` regardless of chunk size, thread count, or steal
-    /// schedule — only task-dispatch overhead changes.
-    ///
-    /// `chunk == 0` is treated as 1. With one thread, or when a single
-    /// chunk covers all of `n`, this is a plain sequential map on the
-    /// calling thread.
-    pub fn map_indexed_chunked<R: Send>(
-        &self,
-        n: usize,
-        chunk: usize,
-        f: impl Fn(usize) -> R + Sync,
-    ) -> Vec<R> {
-        let chunk = chunk.max(1);
-        if n <= chunk || self.threads() == 1 {
-            return (0..n).map(f).collect();
-        }
-        let chunks = n.div_ceil(chunk);
-        let slots: Vec<Mutex<Option<Vec<R>>>> = (0..chunks).map(|_| Mutex::new(None)).collect();
-        let slots = &slots;
-        let f = &f;
-        self.scope(|s| {
-            for (c, slot) in slots.iter().enumerate() {
-                let start = c * chunk;
-                let end = ((c + 1) * chunk).min(n);
-                s.spawn(move |_| {
-                    let r: Vec<R> = (start..end).map(f).collect();
-                    *slot.lock().expect("chunk slot") = Some(r);
-                });
-            }
-        });
-        let mut out = Vec::with_capacity(n);
-        for m in slots {
-            out.append(
-                m.lock()
-                    .expect("chunk slot")
-                    .take()
-                    .expect("scope waits for every task")
-                    .as_mut(),
-            );
-        }
-        out
     }
 
     /// Runs `f` with this pool installed as the calling thread's
@@ -705,21 +656,6 @@ mod tests {
             let pool = Pool::new(threads);
             let got = pool.map_indexed(37, |i| i * 3 + 1);
             assert_eq!(got, (0..37).map(|i| i * 3 + 1).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn chunked_map_matches_serial_for_any_chunk_size() {
-        for threads in [1, 2, 4] {
-            let pool = Pool::new(threads);
-            for chunk in [0, 1, 2, 3, 7, 37, 100] {
-                let got = pool.map_indexed_chunked(37, chunk, |i| i * 3 + 1);
-                assert_eq!(
-                    got,
-                    (0..37).map(|i| i * 3 + 1).collect::<Vec<_>>(),
-                    "threads={threads} chunk={chunk}"
-                );
-            }
         }
     }
 

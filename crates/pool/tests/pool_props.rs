@@ -76,22 +76,6 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    /// `map_indexed_chunked` is byte-identical to serial iteration for
-    /// *every* (width, chunk) combination — chunk 0, chunk 1, chunks that
-    /// divide `n`, chunks that don't, and chunks larger than `n`: chunking
-    /// may only change wall-clock, never values or order.
-    #[test]
-    fn chunked_map_matches_serial_at_any_width_and_chunk(
-        values in collection::vec(any::<u64>(), 0..96usize),
-        width in 1usize..9,
-        chunk in 0usize..128,
-    ) {
-        let pool = Pool::new(width);
-        let got = pool.map_indexed_chunked(values.len(), chunk, |i| chaos(values[i]));
-        let expected: Vec<u64> = values.iter().map(|&v| chaos(v)).collect();
-        prop_assert_eq!(got, expected);
-    }
-
     /// The cost-model chunk size is always usable: positive, and never so
     /// large that a single chunk hides all parallelism when there is more
     /// than one worker and enough items to split.
