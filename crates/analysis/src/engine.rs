@@ -11,11 +11,20 @@
 //! one channel's initial-token count changed) so that only the invalidated
 //! suffix of the iteration is re-executed.
 //!
+//! # One executor for every dialect
+//!
+//! The engine reads firing rules through [`FiringRules`]. [`SdfGraph`] has
+//! one phase per actor and a monomorphised hot loop without phase
+//! arithmetic; cyclo-static graphs (`sdfr_csdf`) fire phase `k mod P` on
+//! their `k`-th firing. A new dialect implements the trait instead of
+//! growing its own executor. Archives, resume/fork and the codec are
+//! SDF-only.
+//!
 //! # Why incremental execution is sound
 //!
-//! SDF graphs are determinate (Kahn): the *final* symbolic stamp of every
-//! token after one iteration is independent of the sequential schedule used
-//! to fire it. The engine exploits two consequences:
+//! SDF and CSDF graphs are determinate (Kahn): the *final* symbolic stamp
+//! of every token after one iteration is independent of the sequential
+//! schedule used to fire it. The engine exploits two consequences:
 //!
 //! - **Resume.** A prefix of a valid schedule followed by any completion of
 //!   the same iteration yields the same matrix as running cold. The archive
@@ -51,10 +60,57 @@ use std::sync::Arc;
 use sdfr_graph::budget::BudgetMeter;
 use sdfr_graph::repetition::RepetitionVector;
 use sdfr_graph::schedule::Schedule;
-use sdfr_graph::{ActorId, ChannelId, SdfError, SdfGraph};
+use sdfr_graph::{ActorId, ChannelId, SdfError, SdfGraph, Time};
 use sdfr_maxplus::{flat, FlatVector, MpMatrix, MpVector};
 
 use crate::symbolic::{SymbolicIteration, TokenRef};
+
+/// The firing rules [`SymbolicEngine`] executes: a dataflow graph whose
+/// actors cycle through a fixed sequence of phases, each with its own
+/// execution time and per-channel rates (a phase may move zero tokens).
+/// Actors and channels are addressed by dense index through the SDF ids;
+/// the repetition vector given to [`SymbolicEngine::new`] counts phase
+/// cycles, so actor `a` fires `γ(a) · phases(a)` times per iteration.
+pub trait FiringRules {
+    /// The initial tokens of every channel, in channel-id order.
+    fn initial_tokens(&self) -> impl Iterator<Item = u64> + '_;
+    /// The number of phases of `a`.
+    fn phases(&self, a: ActorId) -> usize;
+    /// The phase of `a`'s firing after `fired` earlier firings.
+    fn phase(&self, a: ActorId, fired: u64) -> usize {
+        (fired % self.phases(a) as u64) as usize
+    }
+    /// `(channel, tokens consumed)` for each input of `a` in `phase`.
+    fn inputs(&self, a: ActorId, phase: usize) -> impl Iterator<Item = (ChannelId, u64)> + '_;
+    /// `(channel, tokens produced)` for each output of `a` in `phase`.
+    fn outputs(&self, a: ActorId, phase: usize) -> impl Iterator<Item = (ChannelId, u64)> + '_;
+    /// The execution time of `a` in `phase`.
+    fn time(&self, a: ActorId, phase: usize) -> Time;
+}
+
+/// Plain SDF: one phase per actor, so the phase is the constant 0.
+impl FiringRules for SdfGraph {
+    fn initial_tokens(&self) -> impl Iterator<Item = u64> + '_ {
+        self.channels().map(|(_, ch)| ch.initial_tokens())
+    }
+    fn phases(&self, _: ActorId) -> usize {
+        1
+    }
+    fn phase(&self, _: ActorId, _: u64) -> usize {
+        0
+    }
+    fn inputs(&self, a: ActorId, _: usize) -> impl Iterator<Item = (ChannelId, u64)> + '_ {
+        let rate = |&c: &ChannelId| (c, self.channel(c).consumption());
+        self.incoming(a).iter().map(rate)
+    }
+    fn outputs(&self, a: ActorId, _: usize) -> impl Iterator<Item = (ChannelId, u64)> + '_ {
+        let rate = |&c: &ChannelId| (c, self.channel(c).production());
+        self.outgoing(a).iter().map(rate)
+    }
+    fn time(&self, a: ActorId, _: usize) -> Time {
+        self.actor(a).execution_time()
+    }
+}
 
 /// Run-length-encoded symbolic FIFO: each entry is `(stamp, count)` — a run
 /// of `count` tokens sharing one symbolic time stamp.
@@ -258,8 +314,8 @@ impl EngineArchive {
         *avail = *avail - d_old + d_new;
 
         let mut engine = self.engine_from(graph.clone(), state, true);
-        engine.n = n_new;
         engine.rebuild_token_index();
+        debug_assert_eq!(engine.n, n_new);
         // History past the fork point did not happen for this engine.
         let kp = engine.state.firings_done;
         for f in &mut engine.first_consume {
@@ -270,8 +326,9 @@ impl EngineArchive {
         Some(engine)
     }
 
-    /// Builds an engine around a cloned checkpoint state. The caller fixes
-    /// up `n` and rebuilds the token index when the graph changed shape.
+    /// Builds an engine around a cloned checkpoint state. The caller
+    /// rebuilds the token index (and with it `n`) when the graph changed
+    /// shape.
     fn engine_from(
         &self,
         graph: Arc<SdfGraph>,
@@ -343,8 +400,9 @@ impl IncrementalSeed {
 /// [`is_complete`](Self::is_complete). [`archive`](Self::archive) snapshots
 /// the state (complete or not) for later reuse.
 #[derive(Debug)]
-pub struct SymbolicEngine {
-    graph: Arc<SdfGraph>,
+pub struct SymbolicEngine<G = SdfGraph> {
+    graph: Arc<G>,
+    /// Complete phase cycles per actor (firings, for SDF).
     gamma: RepetitionVector,
     /// Matrix dimension: the number of initial tokens.
     n: usize,
@@ -357,7 +415,7 @@ pub struct SymbolicEngine {
     first_consume: Vec<Option<u64>>,
     /// Per-actor `(start, end)` firing stamps, when recording was requested.
     stamps: Option<Vec<Vec<(MpVector, MpVector)>>>,
-    /// `Σ γ(a)`.
+    /// `Σ γ(a) · phases(a)`.
     total_firings: u64,
     /// Firings inherited from a base archive rather than executed here.
     skipped: u64,
@@ -377,61 +435,52 @@ pub struct SymbolicEngine {
     scratch: FlatVector,
 }
 
-impl SymbolicEngine {
-    /// Creates a cold engine for one iteration of `g`.
+impl<G: FiringRules> SymbolicEngine<G> {
+    /// Creates a cold engine for one iteration of `g`, where `gamma` counts
+    /// complete phase cycles per actor.
     ///
     /// The token count is overflow-checked and validated against the size
     /// cap *before* the state is allocated.
     ///
     /// # Errors
     ///
-    /// [`SdfError::Overflow`] if the token count overflows,
-    /// [`SdfError::Exhausted`] if it exceeds the budget's size cap.
+    /// [`SdfError::Overflow`] if the token or firing count overflows,
+    /// [`SdfError::Exhausted`] if the token count exceeds the budget's size
+    /// cap.
     pub fn new(
-        graph: Arc<SdfGraph>,
+        graph: Arc<G>,
         gamma: &RepetitionVector,
         record_stamps: bool,
         meter: &mut BudgetMeter<'_>,
     ) -> Result<Self, SdfError> {
+        let num_channels = graph.initial_tokens().count();
+        let num_actors = gamma.len();
         let token_total = graph
-            .channels()
-            .try_fold(0u64, |s, (_, ch)| s.checked_add(ch.initial_tokens()))
+            .initial_tokens()
+            .try_fold(0u64, |s, d| s.checked_add(d))
             .ok_or(SdfError::Overflow {
                 what: "initial token count",
             })?;
         meter.check_size(token_total)?;
+        let total_firings = gamma
+            .iter()
+            .try_fold(0u64, |s, (a, cycles)| {
+                s.checked_add(cycles.checked_mul(graph.phases(a) as u64)?)
+            })
+            .ok_or(SdfError::Overflow {
+                what: "firings per iteration",
+            })?;
 
-        let num_channels = graph.num_channels();
-        let num_actors = graph.num_actors();
-        let mut tokens = Vec::new();
-        let mut token_base = Vec::with_capacity(num_channels);
-        let mut avail = Vec::with_capacity(num_channels);
-        for (cid, ch) in graph.channels() {
-            token_base.push(tokens.len());
-            avail.push(ch.initial_tokens());
-            for position in 0..ch.initial_tokens() {
-                tokens.push(TokenRef {
-                    channel: cid,
-                    position,
-                });
-            }
-        }
-        let n = tokens.len();
-        let mut queues: Vec<RleQueue> = (0..num_channels).map(|_| RleQueue::new()).collect();
-        for (idx, t) in tokens.iter().enumerate() {
-            queues[t.channel.index()].push_back((FlatVector::unit(n, idx), 1));
-        }
-
-        Ok(SymbolicEngine {
+        let mut engine = SymbolicEngine {
             graph,
-            total_firings: gamma.iteration_length(),
+            total_firings,
             gamma: gamma.clone(),
-            n,
-            tokens,
-            token_base,
+            n: 0,
+            tokens: Vec::new(),
+            token_base: Vec::new(),
             state: EngineState {
-                queues,
-                avail,
+                queues: (0..num_channels).map(|_| RleQueue::new()).collect(),
+                avail: Vec::new(),
                 fired: vec![0; num_actors],
                 firings_done: 0,
             },
@@ -443,7 +492,15 @@ impl SymbolicEngine {
             checkpoint_stride: 0,
             checkpoints: Vec::new(),
             scratch: FlatVector::default(),
-        })
+        };
+        engine.rebuild_token_index();
+        for (idx, t) in engine.tokens.iter().enumerate() {
+            let q = &mut engine.state.queues[t.channel.index()];
+            q.push_back((FlatVector::unit(engine.n, idx), 1));
+        }
+        // One unit run per initial token.
+        engine.state.avail = engine.state.queues.iter().map(|q| q.len() as u64).collect();
+        Ok(engine)
     }
 
     /// Enables periodic checkpointing: up to `CHECKPOINT_SLOTS` evenly
@@ -552,9 +609,10 @@ impl SymbolicEngine {
 
     /// Runs the remaining suffix of the iteration with a greedy data-driven
     /// schedule: scan actors in id order, firing any actor that still owes
-    /// firings and has sufficient input tokens, until `Σ γ(a)` firings have
-    /// been performed. By SDF determinacy the resulting final stamps — and
-    /// therefore the matrix — are identical to any other schedule's.
+    /// firings and has sufficient input tokens for its next phase, until
+    /// `Σ γ(a) · phases(a)` firings have been performed. By determinacy the
+    /// resulting final stamps — and therefore the matrix — are identical to
+    /// any other schedule's.
     ///
     /// # Errors
     ///
@@ -572,7 +630,7 @@ impl SymbolicEngine {
             let mut progressed = false;
             for idx in 0..self.gamma.len() {
                 let actor = ActorId::from_index(idx);
-                let quota = self.gamma.get(actor);
+                let quota = self.gamma.get(actor) * self.graph.phases(actor) as u64;
                 if self.state.fired[actor.index()] >= quota {
                     continue;
                 }
@@ -593,17 +651,18 @@ impl SymbolicEngine {
         Ok(())
     }
 
-    /// `true` if `actor` has the input tokens to fire now.
+    /// `true` if `actor` has the input tokens to fire its next phase now.
     fn enabled(&self, actor: ActorId) -> bool {
-        self.graph.incoming(actor).iter().all(|&cid| {
-            let ch = self.graph.channel(cid);
-            self.state.avail[cid.index()] >= ch.consumption()
-        })
+        let phase = self.graph.phase(actor, self.state.fired[actor.index()]);
+        self.graph
+            .inputs(actor, phase)
+            .all(|(cid, consumed)| self.state.avail[cid.index()] >= consumed)
     }
 
-    /// Fires `actor` once, symbolically: pops `c` stamps from every input
-    /// FIFO, joins them into the start stamp, shifts by the execution time,
-    /// and pushes the end stamp `p` times onto every output FIFO.
+    /// Fires `actor`'s next phase once, symbolically: pops `c` stamps from
+    /// every input FIFO, joins them into the start stamp, shifts by the
+    /// phase's execution time, and pushes the end stamp `p` times onto every
+    /// output FIFO (no run at all when `p` is 0).
     ///
     /// The join/shift arithmetic runs on the reusable flat scratch buffer:
     /// no allocation and no per-element branching in the inner loops, and
@@ -611,15 +670,14 @@ impl SymbolicEngine {
     /// ([`FlatVector::shift_in_place`]) that reports exactly where the old
     /// per-element `checked_add` did.
     fn fire(&mut self, actor: ActorId) -> Result<(), SdfError> {
+        let phase = self.graph.phase(actor, self.state.fired[actor.index()]);
         let start = &mut self.scratch;
         start.reset_neg_inf(self.n);
-        for &cid in self.graph.incoming(actor) {
-            let ch = self.graph.channel(cid);
-            let need = ch.consumption();
-            if need > 0 && self.first_consume[cid.index()].is_none() {
+        for (cid, consumed) in self.graph.inputs(actor, phase) {
+            if consumed > 0 && self.first_consume[cid.index()].is_none() {
                 self.first_consume[cid.index()] = Some(self.state.firings_done);
             }
-            let mut need = need;
+            let mut need = consumed;
             while need > 0 {
                 let (stamp, count) = self.state.queues[cid.index()]
                     .front_mut()
@@ -634,28 +692,30 @@ impl SymbolicEngine {
                     self.state.queues[cid.index()].pop_front();
                 }
             }
-            self.state.avail[cid.index()] -= ch.consumption();
+            self.state.avail[cid.index()] -= consumed;
         }
         let start_mp = self.stamps.is_some().then(|| start.to_mp());
-        if !start.shift_in_place(self.graph.actor(actor).execution_time()) {
+        if !start.shift_in_place(self.graph.time(actor, phase)) {
             return Err(SdfError::Overflow {
                 what: "symbolic time stamp (accumulated execution times)",
             });
         }
         let end = &*start; // shifted in place: the scratch now holds the end stamp
-        for &cid in self.graph.outgoing(actor) {
-            let ch = self.graph.channel(cid);
+        for (cid, produced) in self.graph.outputs(actor, phase) {
+            if produced == 0 {
+                continue;
+            }
             let q = &mut self.state.queues[cid.index()];
             // Run-length coalescing: successive firings that produce the
             // same stamp (steady-state pipelines, zero-time stages) extend
             // the back run instead of growing the queue, keeping state —
             // and checkpoint clones — proportional to *distinct* stamps.
             match q.back_mut() {
-                Some((stamp, count)) if stamp == end => *count += ch.production(),
-                _ => q.push_back((end.clone(), ch.production())),
+                Some((stamp, count)) if stamp == end => *count += produced,
+                _ => q.push_back((end.clone(), produced)),
             }
             self.state.avail[cid.index()] = self.state.avail[cid.index()]
-                .checked_add(ch.production())
+                .checked_add(produced)
                 .ok_or(SdfError::Overflow {
                     what: "token count during symbolic execution",
                 })?;
@@ -688,6 +748,64 @@ impl SymbolicEngine {
         });
     }
 
+    /// Consumes the completed engine and reads out the
+    /// [`SymbolicIteration`]: the final stamps in global token order form
+    /// the rows of the `N×N` matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the iteration is not complete (debug-asserts the token
+    /// distribution was restored, as the run-to-completion path always
+    /// did).
+    pub fn finish(self) -> SymbolicIteration {
+        assert!(
+            self.is_complete(),
+            "finish() requires a completed iteration"
+        );
+        let mut rows: Vec<FlatVector> = Vec::with_capacity(self.n);
+        for t in &self.tokens {
+            let q = &self.state.queues[t.channel.index()];
+            debug_assert_eq!(
+                q.iter().map(|(_, c)| c).sum::<u64>(),
+                self.graph
+                    .initial_tokens()
+                    .nth(t.channel.index())
+                    .unwrap_or(0),
+                "iteration must restore the token distribution"
+            );
+            let mut pos = t.position;
+            let mut found = None;
+            for (stamp, count) in q {
+                if pos < *count {
+                    found = Some(stamp.clone());
+                    break;
+                }
+                pos -= count;
+            }
+            rows.push(found.expect("token position within restored queue"));
+        }
+        let matrix = MpMatrix::from_flat_rows(rows).expect("rows share length N");
+        SymbolicIteration::from_parts(matrix, self.tokens, self.gamma, self.stamps)
+    }
+
+    /// Rebuilds `tokens`/`token_base` and the dimension `n` from the graph
+    /// (at construction, and after a fork changed the token numbering).
+    fn rebuild_token_index(&mut self) {
+        self.tokens.clear();
+        self.token_base.clear();
+        for (c, initial) in self.graph.initial_tokens().enumerate() {
+            let channel = ChannelId::from_index(c);
+            self.token_base.push(self.tokens.len());
+            for position in 0..initial {
+                self.tokens.push(TokenRef { channel, position });
+            }
+        }
+        self.n = self.tokens.len();
+    }
+}
+
+/// The SDF-only half of the engine: archives for resume and fork.
+impl SymbolicEngine {
     /// Snapshots the engine (mid-run or complete) into a shareable archive.
     /// The current state becomes the archive's last checkpoint, so a resume
     /// continues exactly where this engine stands.
@@ -711,60 +829,6 @@ impl SymbolicEngine {
             scheduled: self.scheduled,
             checkpoints,
         })
-    }
-
-    /// Consumes the completed engine and reads out the
-    /// [`SymbolicIteration`]: the final stamps in global token order form
-    /// the rows of the `N×N` matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the iteration is not complete (debug-asserts the token
-    /// distribution was restored, as the run-to-completion path always
-    /// did).
-    pub fn finish(self) -> SymbolicIteration {
-        assert!(
-            self.is_complete(),
-            "finish() requires a completed iteration"
-        );
-        let mut rows: Vec<FlatVector> = Vec::with_capacity(self.n);
-        for t in &self.tokens {
-            let q = &self.state.queues[t.channel.index()];
-            debug_assert_eq!(
-                q.iter().map(|(_, c)| c).sum::<u64>(),
-                self.graph.channel(t.channel).initial_tokens(),
-                "iteration must restore the token distribution"
-            );
-            let mut pos = t.position;
-            let mut found = None;
-            for (stamp, count) in q {
-                if pos < *count {
-                    found = Some(stamp.clone());
-                    break;
-                }
-                pos -= count;
-            }
-            rows.push(found.expect("token position within restored queue"));
-        }
-        let matrix = MpMatrix::from_flat_rows(rows).expect("rows share length N");
-        SymbolicIteration::from_parts(matrix, self.tokens, self.gamma, self.stamps)
-    }
-
-    /// Rebuilds `tokens`/`token_base` from the graph (used after a fork
-    /// changed the token numbering).
-    fn rebuild_token_index(&mut self) {
-        self.tokens.clear();
-        self.token_base.clear();
-        for (cid, ch) in self.graph.channels() {
-            self.token_base.push(self.tokens.len());
-            for position in 0..ch.initial_tokens() {
-                self.tokens.push(TokenRef {
-                    channel: cid,
-                    position,
-                });
-            }
-        }
-        debug_assert_eq!(self.tokens.len(), self.n);
     }
 }
 

@@ -10,13 +10,14 @@
 //! - [`engine`] — the same algorithm as a resumable, checkpointable state
 //!   machine ([`SymbolicEngine`]) that can be paused at firing boundaries,
 //!   archived, and resumed or *forked* across a single-channel token delta
-//!   so near-identical graphs re-execute only the invalidated suffix,
+//!   so near-identical graphs re-execute only the invalidated suffix; it is
+//!   the one Algorithm 1 executor, and runs CSDF through
+//!   [`FiringRules`](engine::FiringRules) too,
 //! - [`throughput`](mod@throughput) — exact throughput via the spectral
 //!   (eigenvalue) method and via state-space periodicity detection, plus a
 //!   purely operational estimate from event-driven simulation,
-//! - [`mcm`] — maximum cycle mean / cycle ratio algorithms (Karp, Howard,
-//!   parametric cycle improvement, a brute-force enumeration oracle, and
-//!   critical-cycle extraction),
+//! - [`mcm`] — maximum cycle ratio: Howard's policy iteration, a
+//!   brute-force enumeration oracle, and critical-cycle extraction,
 //! - [`latency`] — iteration makespan and related latency measures,
 //! - [`bottleneck`] — the critical tokens/channels/actors limiting
 //!   throughput,

@@ -124,12 +124,7 @@ mod tests {
             }
             let oracle = maximum_cycle_ratio(&g);
             let howard = super::super::howard::maximum_cycle_ratio(&g);
-            let parametric = super::super::parametric::maximum_cycle_ratio(&g);
             assert_eq!(oracle, howard, "howard disagrees on {g:?}");
-            assert_eq!(oracle, parametric, "parametric disagrees on {g:?}");
-            if let Some(karp) = super::super::karp::maximum_cycle_mean(&g) {
-                assert_eq!(oracle, karp, "karp disagrees on {g:?}");
-            }
         }
     }
 

@@ -3,26 +3,21 @@
 //! The throughput of a homogeneous SDF graph is governed by its *maximum
 //! cycle ratio* (MCR): over all cycles `C`, the maximum of
 //! `Σ_{a ∈ C} T(a) / Σ_{e ∈ C} d(e)` — execution time per token (Dasdan,
-//! Irani & Gupta, DAC'99). This module provides several algorithms with
-//! different trade-offs, usable both as production solvers and as mutual
-//! cross-checks:
+//! Irani & Gupta, DAC'99). Two algorithms:
 //!
-//! - [`karp`] — Karp's O(V·E) maximum cycle *mean* for unit-token graphs
-//!   (used on max-plus matrix precedence graphs),
 //! - [`howard`] — Howard's policy iteration for the general cycle-ratio
-//!   problem, exact rational arithmetic,
-//! - [`parametric`] — Burns-style parametric cycle improvement (repeatedly
-//!   extract a cycle that beats the current ratio),
+//!   problem, exact rational arithmetic: the production solver,
 //! - [`enumerate`] — brute-force simple-cycle enumeration, the test oracle
 //!   for small graphs.
+//!
+//! Karp's maximum cycle mean over max-plus matrices lives with the
+//! eigenvalue in `sdfr_maxplus::eigen`.
 
 use sdfr_graph::{SdfError, SdfGraph};
 use sdfr_maxplus::Rational;
 
 pub mod enumerate;
 pub mod howard;
-pub mod karp;
-pub mod parametric;
 
 /// The outcome of a maximum cycle ratio computation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -967,8 +967,9 @@ pub fn pool_stats_json(stats: &sdfr_pool::PoolStats) -> String {
 pub struct CsdfRecord {
     /// The display name / path of the graph.
     pub file: String,
-    /// The outcome; `Degraded` is unused (CSDF analysis has no budget
-    /// fallback), errors carry the message.
+    /// The outcome: the exact period, the serialization bound of the
+    /// cycle-level graph when the budget ran out (`Degraded`, with no
+    /// `phase_firings` or `hsdf`), or the error message.
     pub status: UnitStatus,
     /// Phase firings per iteration, when the analysis succeeded.
     pub phase_firings: Option<u64>,

@@ -1,5 +1,4 @@
-//! Ablation: the three maximum-cycle-ratio algorithms (Howard's policy
-//! iteration, parametric cycle improvement, Karp on unit-token instances)
+//! Howard's policy iteration, the production maximum-cycle-ratio solver,
 //! on synthetic strongly cyclic graphs of growing size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -29,12 +28,6 @@ fn mcm_algorithms(c: &mut Criterion) {
         let g = ring_with_chords(n, 4 * n, 42);
         group.bench_with_input(BenchmarkId::new("howard", n), &g, |b, g| {
             b.iter(|| mcm::howard::maximum_cycle_ratio(black_box(g)))
-        });
-        group.bench_with_input(BenchmarkId::new("parametric", n), &g, |b, g| {
-            b.iter(|| mcm::parametric::maximum_cycle_ratio(black_box(g)))
-        });
-        group.bench_with_input(BenchmarkId::new("karp", n), &g, |b, g| {
-            b.iter(|| mcm::karp::maximum_cycle_mean(black_box(g)).unwrap())
         });
     }
     group.finish();

@@ -50,7 +50,7 @@ use sdfr_analysis::throughput::throughput;
 use sdfr_analysis::AnalysisSession;
 use sdfr_core::auto::auto_abstraction;
 use sdfr_core::conservativity::{conservative_period_bound, verify_abstraction};
-use sdfr_core::degrade::conservative_period_fallback;
+use sdfr_core::degrade::{conservative_period_fallback, AnalysisOutcome, ConservativeBound};
 use sdfr_core::recommend::{predict_sizes_with_session, ConversionChoice};
 use sdfr_core::{abstract_graph, novel, traditional};
 use sdfr_graph::budget::Budget;
@@ -405,7 +405,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let opts = &args[2..];
     let budget = budget_from_opts(opts)?;
     if command == "csdf" {
-        return cmd_csdf(path, opts);
+        return cmd_csdf(path, opts, &budget);
     }
     if command == "analyze" && (opts.iter().any(|o| o == "--scenarios") || path.ends_with(".sadf"))
     {
@@ -672,6 +672,23 @@ fn cmd_analyze(g: &SdfGraph, budget: &Budget, out: &mut String) -> Result<(), Cl
     cmd_analyze_session(&session, out)
 }
 
+/// Reports a budget exhaustion and the safe bound standing in for the
+/// exact period.
+fn write_degraded(out: &mut String, exhausted: &SdfError, bound: &ConservativeBound) {
+    let _ = writeln!(out, "budget exhausted: {exhausted}");
+    let _ = writeln!(
+        out,
+        "conservative period bound ({}): {}",
+        bound.method, bound.bound
+    );
+    let _ = writeln!(
+        out,
+        "SAFE BOUND: the true iteration period does not exceed this \
+         value (provided the graph is live); rerun with a larger \
+         budget for the exact period"
+    );
+}
+
 /// The body of `sdfr analyze` over an [`AnalysisSession`]: the throughput,
 /// bottleneck and SCC reports all read the session's single cached symbolic
 /// iteration (the tests assert exactly one is executed).
@@ -682,19 +699,7 @@ fn cmd_analyze_session(session: &AnalysisSession, out: &mut String) -> Result<()
         Err(e @ SdfError::Exhausted { .. }) => {
             // Graceful degradation: the exact analysis was cut short, so
             // report a safe upper bound on the period instead of nothing.
-            let fallback = conservative_period_fallback(g)?;
-            let _ = writeln!(out, "budget exhausted: {e}");
-            let _ = writeln!(
-                out,
-                "conservative period bound ({}): {}",
-                fallback.method, fallback.bound
-            );
-            let _ = writeln!(
-                out,
-                "SAFE BOUND: the true iteration period does not exceed this \
-                 value (provided the graph is live); rerun with a larger \
-                 budget for the exact period"
-            );
+            write_degraded(out, &e, &conservative_period_fallback(g)?);
             return Ok(());
         }
         Err(e) => return Err(e.into()),
@@ -961,12 +966,13 @@ fn cmd_batch(args: &[String]) -> Result<String, CliError> {
     })
 }
 
-/// Analyses a cyclo-static file: consistency, throughput, HSDF reduction.
-fn cmd_csdf(path: &str, opts: &[String]) -> Result<String, CliError> {
+/// Analyses a cyclo-static file under `budget`: consistency, throughput,
+/// HSDF reduction — or a safe period bound when the budget runs out.
+fn cmd_csdf(path: &str, opts: &[String], budget: &Budget) -> Result<String, CliError> {
     let content =
         std::fs::read_to_string(path).map_err(|e| CliError::io(format!("{path}: {e}")))?;
     if opts.iter().any(|o| o == "--json") {
-        let record = csdf_record(path, &content);
+        let record = csdf_record(path, &content, budget);
         let mut line = record.to_json_line();
         line.push('\n');
         if record.exit != EXIT_OK {
@@ -977,28 +983,29 @@ fn cmd_csdf(path: &str, opts: &[String]) -> Result<String, CliError> {
         }
         return Ok(line);
     }
-    let looks_xml = path.ends_with(".xml") || content.trim_start().starts_with('<');
-    let g = if looks_xml {
-        sdfr_io::csdf::from_xml(&content)?
-    } else {
-        sdfr_io::csdf::from_text(&content)?
-    };
+    let g = parse_csdf(path, &content)?;
     let mut out = String::new();
     let _ = write!(out, "{g}");
     // One symbolic iteration feeds the repetition report, the throughput
     // and the HSDF reduction alike.
-    let sym = sdfr_csdf::symbolic_iteration(&g)?;
+    let (period, sym) = match sdfr_csdf::analyze(&g, budget)? {
+        (AnalysisOutcome::Degraded { exhausted, bound }, _) => {
+            write_degraded(&mut out, &exhausted, &bound);
+            return Ok(out);
+        }
+        (AnalysisOutcome::Exact(period), sym) => {
+            (period, sym.expect("an exact outcome carries its iteration"))
+        }
+    };
     let _ = writeln!(
         out,
         "phase firings per iteration: {}",
         sym.repetition.iteration_length(&g)
     );
-    let thr = sdfr_csdf::throughput_from_symbolic(&sym);
     let _ = writeln!(
         out,
         "iteration period: {}",
-        thr.period
-            .map_or("none (unbounded)".to_string(), |p| p.to_string())
+        period.map_or("none (unbounded)".to_string(), |p| p.to_string())
     );
     let hsdf = sdfr_csdf::hsdf_from_symbolic(&sym, g.name());
     let _ = writeln!(
@@ -1012,38 +1019,34 @@ fn cmd_csdf(path: &str, opts: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Analyses cyclo-static graph content into one `sdfr-api/1`
-/// [`sdfr_api::CsdfRecord`]. Shared by `sdfr csdf --json` (file content)
-/// and the server's `/v1/csdf` (inline request content) so their lines are
-/// byte-identical.
-pub(crate) fn csdf_record(name: &str, content: &str) -> sdfr_api::CsdfRecord {
+/// Parses cyclo-static content, as XML when the name or content says so.
+fn parse_csdf(name: &str, content: &str) -> Result<sdfr_csdf::CsdfGraph, CliError> {
     let looks_xml = name.ends_with(".xml") || content.trim_start().starts_with('<');
+    Ok(if looks_xml {
+        sdfr_io::csdf::from_xml(content)?
+    } else {
+        sdfr_io::csdf::from_text(content)?
+    })
+}
+
+/// Analyses cyclo-static graph content under `budget` into one
+/// `sdfr-api/1` [`sdfr_api::CsdfRecord`]. Shared by `sdfr csdf --json`
+/// (file content) and the server's `/v1/csdf` (inline request content) so
+/// their lines are byte-identical.
+pub(crate) fn csdf_record(name: &str, content: &str, budget: &Budget) -> sdfr_api::CsdfRecord {
     let result = (|| -> Result<_, CliError> {
-        let g = if looks_xml {
-            sdfr_io::csdf::from_xml(content)?
-        } else {
-            sdfr_io::csdf::from_text(content)?
-        };
-        let sym = sdfr_csdf::symbolic_iteration(&g)?;
-        let firings = sym.repetition.iteration_length(&g);
-        let thr = sdfr_csdf::throughput_from_symbolic(&sym);
-        let hsdf = sdfr_csdf::hsdf_from_symbolic(&sym, g.name());
-        Ok((
-            thr.period.map(|p| p.to_string()),
-            firings,
-            (
-                hsdf.num_actors(),
-                hsdf.num_channels(),
-                hsdf.total_initial_tokens(),
-            ),
-        ))
+        let g = parse_csdf(name, content)?;
+        let (outcome, sym) = sdfr_csdf::analyze(&g, budget)?;
+        let firings = sym.as_ref().map(|sym| sym.repetition.iteration_length(&g));
+        let hsdf = sym.map(|sym| sdfr_csdf::hsdf_from_symbolic(&sym, g.name()));
+        Ok((outcome, firings, hsdf))
     })();
     match result {
-        Ok((period, firings, hsdf)) => sdfr_api::CsdfRecord {
+        Ok((outcome, phase_firings, hsdf)) => sdfr_api::CsdfRecord {
             file: name.to_string(),
-            status: sdfr_api::UnitStatus::Exact { period },
-            phase_firings: Some(firings),
-            hsdf: Some(hsdf),
+            status: sdfr_api::UnitStatus::from_outcome(&outcome),
+            phase_firings,
+            hsdf: hsdf.map(|h| (h.num_actors(), h.num_channels(), h.total_initial_tokens())),
             exit: EXIT_OK,
         },
         Err(e) => {

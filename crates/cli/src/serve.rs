@@ -1214,10 +1214,11 @@ fn handle_csdf(body: &str, failover: bool, state: &ServerState) -> (u16, String)
             }
         }
     }
+    let budget = req.caps_budget();
     let mut out = String::new();
     let mut exit = 0;
     for g in &req.graphs {
-        let record = crate::csdf_record(&g.name, &g.content);
+        let record = crate::csdf_record(&g.name, &g.content, &budget);
         exit = exit.max(record.exit);
         out.push_str(&record.to_json_line());
         out.push('\n');

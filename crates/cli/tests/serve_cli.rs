@@ -178,6 +178,70 @@ fn csdf_roundtrip_matches_in_process_json() {
     assert_eq!(remote.stdout, local.stdout);
     let line = String::from_utf8_lossy(&local.stdout).into_owned();
     assert!(line.contains("\"phase_firings\":2"), "{line}");
+
+    // The firing cap travels with the request and is honoured on both
+    // sides: the 2-firing graph stays exact, the rate bomb degrades.
+    let bomb = example("rate_bomb.csdf");
+    for (file, status) in [(path, "exact"), (bomb.as_str(), "degraded")] {
+        let local = sdfr(&["csdf", file, "--json", "--max-firings", "5"]);
+        assert!(local.status.success(), "{local:?}");
+        let remote = sdfr(&["--server", &server.addr, "csdf", file, "--max-firings", "5"]);
+        assert!(remote.status.success(), "{remote:?}");
+        assert_eq!(remote.stdout, local.stdout);
+        let line = String::from_utf8_lossy(&local.stdout).into_owned();
+        assert!(line.contains(&format!("\"status\":\"{status}\"")), "{line}");
+    }
+}
+
+/// `sdfr csdf --json` under a budget and on arithmetic overflow: a size
+/// cap degrades to the serialization bound (exit 0), a time stamp past
+/// the integer range is an `Overflow` error record (exit 1), and a
+/// pattern whose per-cycle sum overflows is an `Overflow`, not a zero
+/// rate.
+#[test]
+fn csdf_budgets_degrade_and_overflow_is_an_error_record() {
+    let two_tokens = write_temp(
+        "csdf w\nactor w 1,3\nchannel w w 1,1 1,1 1\nchannel w w 1,1 1,1 1\n",
+        "csdf",
+    );
+    let out = sdfr(&[
+        "csdf",
+        two_tokens.to_str().unwrap(),
+        "--json",
+        "--max-size",
+        "1",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let line = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(
+        line.contains("\"status\":\"degraded\",\"bound\":\"4\",\"method\":\"serialization\""),
+        "{line}"
+    );
+
+    let bomb = sdfr(&["csdf", &example("rate_bomb.csdf"), "--max-firings", "1000"]);
+    assert_eq!(bomb.status.code(), Some(0), "{bomb:?}");
+    let text = String::from_utf8_lossy(&bomb.stdout).into_owned();
+    assert!(text.contains("SAFE BOUND"), "{text}");
+
+    for (content, what) in [
+        (
+            "csdf w\nactor w 5000000000000000000,5000000000000000000\nchannel w w 1,1 1,1 1\n",
+            "integer overflow",
+        ),
+        (
+            "csdf r\nactor p 1,1\nactor c 1\nchannel p c 18446744073709551615,1 1 0\n",
+            "integer overflow",
+        ),
+    ] {
+        let f = write_temp(content, "csdf");
+        let out = sdfr(&["csdf", f.to_str().unwrap(), "--json"]);
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        let line = String::from_utf8_lossy(&out.stderr).into_owned()
+            + &String::from_utf8_lossy(&out.stdout);
+        assert!(line.contains("\"status\":\"error\""), "{line}");
+        assert!(line.contains(what), "{line}");
+        assert!(line.contains("\"exit\":1"), "{line}");
+    }
 }
 
 /// A response deadline on a cold, expensive graph yields an immediate

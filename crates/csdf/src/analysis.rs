@@ -1,17 +1,55 @@
-//! Analysis of CSDF graphs through the max-plus machinery.
+//! Analysis of CSDF graphs: Algorithm 1 runs on the shared
+//! [`SymbolicEngine`], and the max-plus machinery reads its matrix.
 
-use std::collections::VecDeque;
+use std::sync::Arc;
 
-use sdfr_graph::{SdfError, SdfGraph};
-use sdfr_maxplus::{MpMatrix, MpVector, Rational};
+use sdfr_analysis::engine::{FiringRules, SymbolicEngine};
+use sdfr_core::degrade::{
+    serialization_period_bound, AnalysisOutcome, ConservativeBound, FallbackMethod,
+};
+use sdfr_core::CoreError;
+use sdfr_graph::budget::Budget;
+use sdfr_graph::repetition::RepetitionVector;
+use sdfr_graph::{ActorId, ChannelId, SdfError, SdfGraph, Time};
+use sdfr_maxplus::{MpMatrix, Rational};
 
 use crate::graph::{CsdfActorId, CsdfChannelId, CsdfGraph};
+
+/// CSDF firing rules: the phase of a firing is the actor's firing count
+/// modulo its phase count.
+impl FiringRules for CsdfGraph {
+    fn initial_tokens(&self) -> impl Iterator<Item = u64> + '_ {
+        self.channels.iter().map(|c| c.initial_tokens)
+    }
+    fn phases(&self, a: ActorId) -> usize {
+        self.actors[a.index()].times.len()
+    }
+    fn inputs(&self, a: ActorId, phase: usize) -> impl Iterator<Item = (ChannelId, u64)> + '_ {
+        self.incoming[a.index()].iter().map(move |c| {
+            (
+                ChannelId::from_index(c.0),
+                self.channels[c.0].consumption[phase],
+            )
+        })
+    }
+    fn outputs(&self, a: ActorId, phase: usize) -> impl Iterator<Item = (ChannelId, u64)> + '_ {
+        self.outgoing[a.index()].iter().map(move |c| {
+            (
+                ChannelId::from_index(c.0),
+                self.channels[c.0].production[phase],
+            )
+        })
+    }
+    fn time(&self, a: ActorId, phase: usize) -> Time {
+        self.actors[a.index()].times[phase]
+    }
+}
 
 /// The cycle-level repetition vector of a CSDF graph: `cycles[a]` complete
 /// phase cycles of each actor per iteration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsdfRepetition {
-    cycles: Vec<u64>,
+    cycles: RepetitionVector,
 }
 
 impl CsdfRepetition {
@@ -21,13 +59,13 @@ impl CsdfRepetition {
     ///
     /// Panics if `a` does not belong to the analysed graph.
     pub fn cycles(&self, a: CsdfActorId) -> u64 {
-        self.cycles[a.index()]
+        self.cycles.as_slice()[a.index()]
     }
 
     /// Phase-level firings of actor `a` per iteration
     /// (`cycles(a) · phases(a)`), given its phase count.
     pub fn firings(&self, a: CsdfActorId, phases: usize) -> u64 {
-        self.cycles[a.index()] * phases as u64
+        self.cycles(a) * phases as u64
     }
 
     /// Total phase firings per iteration over all actors.
@@ -44,14 +82,31 @@ impl CsdfRepetition {
 /// # Errors
 ///
 /// Returns [`SdfError::Inconsistent`] when the balance equations have no
-/// solution.
+/// solution, [`SdfError::Overflow`] when an actor's per-cycle execution
+/// time exceeds the integer range.
 pub fn repetition_vector(g: &CsdfGraph) -> Result<CsdfRepetition, SdfError> {
-    // Reuse the SDF solver on the cycle-level rate abstraction.
+    Ok(CsdfRepetition {
+        cycles: sdfr_graph::repetition::repetition_vector(&cycle_graph(g)?)?,
+    })
+}
+
+/// The cycle-level SDF abstraction of `g`: per actor, one firing per full
+/// phase cycle taking the checked per-cycle sum `Σ_p T(a, p)`; per channel,
+/// the per-cycle rates. Its repetition vector counts phase cycles, and its
+/// serialization bound is the makespan of one sequential CSDF iteration.
+fn cycle_graph(g: &CsdfGraph) -> Result<SdfGraph, SdfError> {
     let mut b = SdfGraph::builder(g.name().to_string());
-    let ids: Vec<_> = g
-        .actors()
-        .map(|(_, a)| b.actor(a.name().to_string(), 0.max(a.phase_time(0))))
-        .collect();
+    let mut ids = Vec::with_capacity(g.num_actors());
+    for (_, a) in g.actors() {
+        let time = a
+            .times
+            .iter()
+            .try_fold(0 as Time, |s, &t| s.checked_add(t))
+            .ok_or(SdfError::Overflow {
+                what: "per-cycle execution time",
+            })?;
+        ids.push(b.actor(a.name().to_string(), time));
+    }
     for (_, c) in g.channels() {
         b.channel(
             ids[c.source().index()],
@@ -62,11 +117,7 @@ pub fn repetition_vector(g: &CsdfGraph) -> Result<CsdfRepetition, SdfError> {
         )
         .expect("validated patterns");
     }
-    let sdf = b.build().expect("names validated by the CSDF builder");
-    let gamma = sdfr_graph::repetition::repetition_vector(&sdf)?;
-    Ok(CsdfRepetition {
-        cycles: gamma.as_slice().to_vec(),
-    })
+    Ok(b.build().expect("names validated by the CSDF builder"))
 }
 
 /// One phase-accurate sequential schedule for an iteration.
@@ -98,9 +149,18 @@ pub fn sequential_schedule(g: &CsdfGraph, rep: &CsdfRepetition) -> Result<CsdfSc
     loop {
         let mut progress = false;
         for a in g.actor_ids() {
+            let id = ActorId::from_index(a.index());
             // Fire as many consecutive phases of `a` as are enabled.
-            while remaining[a.index()] > 0 && phase_enabled(g, a, phase[a.index()], &tokens) {
-                fire_phase(g, a, phase[a.index()], &mut tokens);
+            while remaining[a.index()] > 0
+                && g.inputs(id, phase[a.index()])
+                    .all(|(c, n)| tokens[c.index()] >= n)
+            {
+                for (c, n) in g.inputs(id, phase[a.index()]) {
+                    tokens[c.index()] -= n;
+                }
+                for (c, n) in g.outputs(id, phase[a.index()]) {
+                    tokens[c.index()] += n;
+                }
                 firings.push((a, phase[a.index()]));
                 phase[a.index()] = (phase[a.index()] + 1) % g.actor(a).num_phases();
                 remaining[a.index()] -= 1;
@@ -115,21 +175,6 @@ pub fn sequential_schedule(g: &CsdfGraph, rep: &CsdfRepetition) -> Result<CsdfSc
         if !progress {
             return Err(SdfError::Deadlock { fired, needed });
         }
-    }
-}
-
-fn phase_enabled(g: &CsdfGraph, a: CsdfActorId, phase: usize, tokens: &[u64]) -> bool {
-    g.incoming(a)
-        .iter()
-        .all(|&cid| tokens[cid.index()] >= g.channel(cid).consumption(phase))
-}
-
-fn fire_phase(g: &CsdfGraph, a: CsdfActorId, phase: usize, tokens: &mut [u64]) {
-    for &cid in g.incoming(a) {
-        tokens[cid.index()] -= g.channel(cid).consumption(phase);
-    }
-    for &cid in g.outgoing(a) {
-        tokens[cid.index()] += g.channel(cid).production(phase);
     }
 }
 
@@ -149,68 +194,62 @@ pub struct CsdfSymbolic {
 ///
 /// # Errors
 ///
-/// See [`sequential_schedule`].
+/// As [`repetition_vector`], plus [`SdfError::Deadlock`] if the iteration
+/// cannot complete and [`SdfError::Overflow`] when a time stamp or token
+/// count exceeds the integer range.
 pub fn symbolic_iteration(g: &CsdfGraph) -> Result<CsdfSymbolic, SdfError> {
-    let rep = repetition_vector(g)?;
-    let schedule = sequential_schedule(g, &rep)?;
+    let gamma = sdfr_graph::repetition::repetition_vector(&cycle_graph(g)?)?;
+    execute(g, &gamma, &Budget::unlimited())
+}
 
-    let mut tokens = Vec::new();
-    for (cid, ch) in g.channels() {
-        for position in 0..ch.initial_tokens() {
-            tokens.push((cid, position));
+/// Analyses `g` under `budget`: the exact iteration period with the
+/// symbolic iteration that produced it, or — when the budget runs out —
+/// the serialization bound of the cycle-level graph, a safe upper bound on
+/// the period of a live graph. Firing caps and deadlines are charged one
+/// unit per phase firing; the size cap bounds the initial-token count.
+///
+/// # Errors
+///
+/// Non-budget failures of [`symbolic_iteration`] propagate unchanged.
+pub fn analyze(
+    g: &CsdfGraph,
+    budget: &Budget,
+) -> Result<(AnalysisOutcome, Option<CsdfSymbolic>), CoreError> {
+    let cycles = cycle_graph(g)?;
+    let gamma = sdfr_graph::repetition::repetition_vector(&cycles)?;
+    match execute(g, &gamma, budget) {
+        Ok(sym) => Ok((AnalysisOutcome::Exact(sym.matrix.eigenvalue()), Some(sym))),
+        Err(exhausted @ SdfError::Exhausted { .. }) => {
+            let bound = ConservativeBound {
+                bound: serialization_period_bound(&cycles)?,
+                method: FallbackMethod::Serialization,
+            };
+            Ok((AnalysisOutcome::Degraded { exhausted, bound }, None))
         }
+        Err(e) => Err(e.into()),
     }
-    let n = tokens.len();
-    let mut queues: Vec<VecDeque<(MpVector, u64)>> =
-        g.channels().map(|_| VecDeque::new()).collect();
-    for (idx, &(cid, _)) in tokens.iter().enumerate() {
-        queues[cid.index()].push_back((MpVector::unit(n, idx), 1));
-    }
+}
 
-    for &(a, phase) in &schedule.firings {
-        let mut start = MpVector::neg_inf(n);
-        for &cid in g.incoming(a) {
-            let mut need = g.channel(cid).consumption(phase);
-            while need > 0 {
-                let (stamp, count) = queues[cid.index()]
-                    .front_mut()
-                    .expect("schedule guarantees availability");
-                start = start.join(stamp).expect("stamps share length");
-                if *count > need {
-                    *count -= need;
-                    need = 0;
-                } else {
-                    need -= *count;
-                    queues[cid.index()].pop_front();
-                }
-            }
-        }
-        let end = start.shift(g.actor(a).phase_time(phase));
-        for &cid in g.outgoing(a) {
-            let produced = g.channel(cid).production(phase);
-            if produced > 0 {
-                queues[cid.index()].push_back((end.clone(), produced));
-            }
-        }
-    }
-
-    let mut rows = Vec::with_capacity(n);
-    for &(cid, position) in &tokens {
-        let mut pos = position;
-        let mut found = None;
-        for (stamp, count) in &queues[cid.index()] {
-            if pos < *count {
-                found = Some(stamp.clone());
-                break;
-            }
-            pos -= count;
-        }
-        rows.push(found.expect("iteration restores the token distribution"));
-    }
+/// Runs one iteration on the engine, firing greedily in actor-id order.
+fn execute(
+    g: &CsdfGraph,
+    gamma: &RepetitionVector,
+    budget: &Budget,
+) -> Result<CsdfSymbolic, SdfError> {
+    let mut meter = budget.meter();
+    let mut engine = SymbolicEngine::new(Arc::new(g.clone()), gamma, false, &mut meter)?;
+    engine.run_greedy(&mut meter)?;
+    let sym = engine.finish();
     Ok(CsdfSymbolic {
-        matrix: MpMatrix::from_row_vectors(rows).expect("rows share length"),
-        tokens,
-        repetition: rep,
+        matrix: sym.matrix,
+        tokens: sym
+            .tokens
+            .iter()
+            .map(|t| (CsdfChannelId(t.channel.index()), t.position))
+            .collect(),
+        repetition: CsdfRepetition {
+            cycles: gamma.clone(),
+        },
     })
 }
 
@@ -274,6 +313,7 @@ pub fn hsdf_from_symbolic(sym: &CsdfSymbolic, name: &str) -> SdfGraph {
 mod tests {
     use super::*;
     use sdfr_analysis::throughput::hsdf_period;
+    use sdfr_core::degrade::FallbackMethod;
 
     /// The canonical CSDF example: the producer emits only in its first
     /// phase and reads back-pressure credits only in its second; a
@@ -343,6 +383,65 @@ mod tests {
         assert_eq!(thr.period, Some(Rational::from(5)));
         let x_id = g.actor_by_name("x").unwrap();
         assert_eq!(thr.actor_throughput(x_id, 1), Some(Rational::new(1, 5)));
+
+        let mut b = SdfGraph::builder("c");
+        let x = b.actor("x", 2);
+        let y = b.actor("y", 3);
+        b.channel(x, y, 1, 1, 0).unwrap();
+        b.channel(y, x, 1, 1, 1).unwrap();
+        let sdf = sdfr_analysis::symbolic::symbolic_iteration(&b.build().unwrap()).unwrap();
+        assert_eq!(symbolic_iteration(&g).unwrap().matrix, sdf.matrix);
+    }
+
+    #[test]
+    fn analyze_degrades_to_the_cycle_serialization_bound() {
+        let g = two_phase();
+        let (exact, sym) = analyze(&g, &Budget::unlimited()).unwrap();
+        assert_eq!(
+            exact,
+            AnalysisOutcome::Exact(throughput(&g).unwrap().period)
+        );
+        assert_eq!(sym.unwrap().matrix, symbolic_iteration(&g).unwrap().matrix);
+
+        // Σ cycles(a) · Σ_p T(a, p) = 1·(1 + 3) + 2·2.
+        for budget in [
+            Budget::unlimited().with_max_firings(3),
+            Budget::unlimited().with_max_size(5),
+        ] {
+            match analyze(&g, &budget).unwrap() {
+                (AnalysisOutcome::Degraded { exhausted, bound }, None) => {
+                    assert!(matches!(exhausted, SdfError::Exhausted { .. }));
+                    assert_eq!(bound.bound, Rational::from(8));
+                    assert_eq!(bound.method, FallbackMethod::Serialization);
+                }
+                other => panic!("expected degradation, got {other:?}"),
+            }
+        }
+        // Phase firings are charged once each: the 4-firing iteration fits.
+        let (fits, _) = analyze(&g, &Budget::unlimited().with_max_firings(4)).unwrap();
+        assert!(fits.is_exact());
+    }
+
+    #[test]
+    fn time_and_stamp_overflow_are_errors() {
+        // The per-cycle execution time does not fit.
+        let mut b = CsdfGraph::builder("w");
+        let w = b.actor("w", [1 << 62, 1 << 62]);
+        b.channel(w, w, [1, 1], [1, 1], 1).unwrap();
+        assert!(matches!(
+            symbolic_iteration(&b.build().unwrap()),
+            Err(SdfError::Overflow { .. })
+        ));
+        // Each time fits, but the stamp of the token going round does not.
+        let mut b = CsdfGraph::builder("ring");
+        let x = b.actor("x", [1 << 62]);
+        let y = b.actor("y", [1 << 62]);
+        b.channel(x, y, [1], [1], 0).unwrap();
+        b.channel(y, x, [1], [1], 1).unwrap();
+        assert!(matches!(
+            symbolic_iteration(&b.build().unwrap()),
+            Err(SdfError::Overflow { .. })
+        ));
     }
 
     #[test]

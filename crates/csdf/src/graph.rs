@@ -108,12 +108,14 @@ impl CsdfChannel {
         self.consumption[p]
     }
 
-    /// Tokens produced per full cycle of the source.
+    /// Tokens produced per full cycle of the source. The builder rejects
+    /// patterns whose sum overflows, so the sum fits.
     pub fn production_per_cycle(&self) -> u64 {
         self.production.iter().sum()
     }
 
-    /// Tokens consumed per full cycle of the target.
+    /// Tokens consumed per full cycle of the target. The builder rejects
+    /// patterns whose sum overflows, so the sum fits.
     pub fn consumption_per_cycle(&self) -> u64 {
         self.consumption.iter().sum()
     }
@@ -297,7 +299,8 @@ impl CsdfBuilder {
     /// - [`SdfError::UnknownActor`]-analogous endpoint validation is a
     ///   panic here (ids come from this builder);
     /// - [`SdfError::ZeroRate`] if a pattern moves no tokens over a full
-    ///   cycle.
+    ///   cycle,
+    /// - [`SdfError::Overflow`] if a pattern's per-cycle sum exceeds `u64`.
     ///
     /// # Panics
     ///
@@ -327,7 +330,14 @@ impl CsdfBuilder {
             self.actors[target.0].times.len(),
             "consumption pattern must cover the target's phases"
         );
-        if production.iter().sum::<u64>() == 0 || consumption.iter().sum::<u64>() == 0 {
+        let cycle_sum = |p: &[u64]| p.iter().try_fold(0u64, |s, &r| s.checked_add(r));
+        let (Some(produced), Some(consumed)) = (cycle_sum(&production), cycle_sum(&consumption))
+        else {
+            return Err(SdfError::Overflow {
+                what: "tokens moved per phase cycle",
+            });
+        };
+        if produced == 0 || consumed == 0 {
             return Err(SdfError::ZeroRate {
                 channel: self.channels.len(),
             });
@@ -430,6 +440,21 @@ mod tests {
         assert!(matches!(
             b.channel(x, y, [0, 0], [1], 0),
             Err(SdfError::ZeroRate { .. })
+        ));
+    }
+
+    #[test]
+    fn overflowing_cycle_rate_rejected() {
+        let mut b = CsdfGraph::builder("g");
+        let x = b.actor("x", [1, 2]);
+        let y = b.actor("y", [1]);
+        assert!(matches!(
+            b.channel(x, y, [u64::MAX, 1], [1], 0),
+            Err(SdfError::Overflow { .. })
+        ));
+        assert!(matches!(
+            b.channel(y, x, [1], [1, u64::MAX], 0),
+            Err(SdfError::Overflow { .. })
         ));
     }
 

@@ -7,12 +7,18 @@
 //! class of the buffer-sizing work the paper cites (Stuijk et al., TC'08;
 //! Wiggers et al., DAC'07).
 //!
-//! All analyses reuse the max-plus machinery of this repository, applied at
-//! phase granularity:
+//! All analyses reuse the machinery of this repository at phase
+//! granularity. Algorithm 1 runs on the shared
+//! [`SymbolicEngine`](sdfr_analysis::SymbolicEngine) through
+//! [`FiringRules`](sdfr_analysis::engine::FiringRules); CSDF is determinate
+//! (Kahn), so its greedy actor-id order gives the matrix of any schedule.
 //!
 //! - [`CsdfGraph`] — the model and its validated construction,
 //! - [`repetition_vector`] — cycle-level consistency,
 //! - [`sequential_schedule`] — a phase-accurate PASS,
+//! - [`analyze`] — the budgeted entry point: the exact period with its
+//!   symbolic iteration, or a safe serialization bound when the
+//!   [`Budget`](sdfr_graph::budget::Budget) runs out,
 //! - [`symbolic_iteration`] — the max-plus matrix of one iteration
 //!   (Algorithm 1 at phase granularity),
 //! - [`throughput`] — the exact iteration period,
@@ -48,7 +54,8 @@ mod analysis;
 mod graph;
 
 pub use analysis::{
-    hsdf_from_symbolic, repetition_vector, sequential_schedule, symbolic_iteration, throughput,
-    throughput_from_symbolic, to_hsdf, CsdfRepetition, CsdfSchedule, CsdfSymbolic, CsdfThroughput,
+    analyze, hsdf_from_symbolic, repetition_vector, sequential_schedule, symbolic_iteration,
+    throughput, throughput_from_symbolic, to_hsdf, CsdfRepetition, CsdfSchedule, CsdfSymbolic,
+    CsdfThroughput,
 };
 pub use graph::{CsdfActorId, CsdfBuilder, CsdfChannelId, CsdfGraph};
